@@ -1,6 +1,7 @@
 // The benchmark harness itself: sane results from the overhead,
-// perceived-bandwidth and sweep generators, plus the parameter probe's
-// recovery of the configured fabric parameters.
+// perceived-bandwidth and sweep generators, the parameter probe's
+// recovery of the configured fabric parameters, and pinned trial
+// fingerprints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +12,9 @@
 #include "bench/probe.hpp"
 #include "bench/report.hpp"
 #include "bench/sweep.hpp"
+#include "bench/trial.hpp"
 #include "common/units.hpp"
+#include "support/bench_main.hpp"
 #include "support/test_world.hpp"
 
 namespace partib::bench {
@@ -239,6 +242,30 @@ TEST(Report, FmtPrecision) {
   EXPECT_EQ(fmt(1.2345, 2), "1.23");
   EXPECT_EQ(fmt(1.0, 0), "1");
   EXPECT_EQ(fmt(-2.5, 1), "-2.5");
+}
+
+// Trial fingerprints are the keys of the persistent result cache
+// (.partib-cache/).  These pins catch any change that would silently
+// re-key it: a config field, a hash feed, or an aggregator's describe().
+TEST(TrialFingerprint, PinnedForDefaultConfigs) {
+  EXPECT_EQ(fingerprint(OverheadConfig{}), 0x8dcfe1f553c6825bULL);
+  EXPECT_EQ(fingerprint(PerceivedConfig{}), 0xfeb7296bf4e0f190ULL);
+  EXPECT_EQ(fingerprint(SweepConfig{}), 0x68f9671821f90371ULL);
+  EXPECT_EQ(fingerprint(HaloConfig{}), 0x98c472ae53976274ULL);
+  EXPECT_EQ(fingerprint(ConnScaleConfig{}), 0xbd7296dc4d89efffULL);
+  EXPECT_EQ(fingerprint(ZooConfig{}), 0x541749c66212f0d3ULL);
+}
+
+TEST(TrialFingerprint, PinnedForZooLearningAndOracleArms) {
+  const model::LogGPParams params =
+      model::LogGPParams::niagara_mpi_measured();
+  ZooConfig learning;
+  learning.options = learning_options(params);
+  EXPECT_EQ(fingerprint(learning), 0xa0f25298930a5e5cULL);
+  ZooConfig oracle;
+  oracle.options = oracle_options(params);
+  oracle.oracle = true;
+  EXPECT_EQ(fingerprint(oracle), 0x4187ea3b9175a28bULL);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // must hold for any parameter set, not just the calibrated defaults.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "common/bits.hpp"
@@ -98,8 +99,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 5, 15, 40),   // g in us
                        ::testing::Values(4, 8, 33, 80)),  // G in ns/B * 100
     [](const ::testing::TestParamInfo<ParamCase>& info) {
-      return "g" + std::to_string(std::get<0>(info.param)) + "us_G" +
-             std::to_string(std::get<1>(info.param));
+      const std::string g = std::to_string(std::get<0>(info.param));
+      const std::string big_g = std::to_string(std::get<1>(info.param));
+      std::string name;
+      name.reserve(g.size() + big_g.size() + 4);
+      return name.append("g").append(g).append("us_G").append(big_g);
     });
 
 }  // namespace

@@ -1,14 +1,9 @@
-// partib_lint — standalone implementation of the five partib-* checks.
+// partib_lint — the five partib-* static checks.
 //
-// The authoritative, AST-accurate implementation of these checks is the
-// clang-tidy plugin next to this file (PartibTidyModule.cpp).  That plugin
-// needs the clang-tidy development headers, which not every build host has
-// (the CI lint job does; a bare container often does not).  This tool
-// re-implements the same checks over a hand-rolled C++ lexer so that
-//
-//   * the checks run (and gate CI) on any host with a C++20 compiler, and
-//   * the FileCheck fixtures under test/ exercise one diagnostic grammar
-//     shared by both implementations:
+// The checks run over a hand-rolled C++ lexer rather than a clang AST, so
+// they need no LLVM development headers: they run (and gate CI) on any
+// host with a C++20 compiler.  The FileCheck fixtures under test/ pin the
+// diagnostic grammar, which is clang-tidy's:
 //
 //       <file>:<line>:<col>: warning: <message> [<check-name>]
 //
@@ -23,8 +18,9 @@
 //   partib-no-wall-clock-in-sim   wall-clock / libc randomness in the
 //                                 deterministic simulation layers
 //                                 (src/sim, src/fabric, src/verbs,
-//                                 src/part) — time must come from the
-//                                 DES engine, randomness from seeded RNGs
+//                                 src/part, src/backend) — time must
+//                                 come from the DES engine, randomness
+//                                 from seeded RNGs
 //   partib-diag-rule-registered   every rule id named by check::report()
 //                                 or a Diagnostic::rule assignment must
 //                                 exist in src/check/rules.inc
@@ -192,18 +188,21 @@ LexedFile lex(const std::string& src) {
       advance(end - i);
       continue;
     }
-    // Raw string literal.
+    // Raw string literal.  An unterminated one (no '(' or no closing
+    // delimiter) runs to EOF, like the other literal and comment forms.
     if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
       std::size_t p = i + 2;
       while (p < n && src[p] != '(') ++p;
-      const std::string delim =
-          ")" + src.substr(i + 2, p - (i + 2)) + "\"";
-      std::size_t end = src.find(delim, p);
-      end = end == std::string::npos ? n : end + delim.size();
-      out.tokens.push_back({Tok::kString,
-                            src.substr(p + 1, end - delim.size() - (p + 1)),
-                            line, col});
-      advance(end - i);
+      std::string delim;
+      delim.reserve(p - i);
+      delim.append(1, ')').append(src, i + 2, p - (i + 2)).append(1, '"');
+      const std::size_t body = std::min(p + 1, n);
+      const std::size_t close = src.find(delim, body);
+      const std::size_t body_end = close == std::string::npos ? n : close;
+      out.tokens.push_back(
+          {Tok::kString, src.substr(body, body_end - body), line, col});
+      advance(close == std::string::npos ? n - i
+                                         : close + delim.size() - i);
       continue;
     }
     // String / char literal.
@@ -291,13 +290,16 @@ class Linter {
 
  private:
   bool path_has_dir(std::string_view dir) const {
-    const std::string needle = "/" + std::string(dir) + "/";
+    std::string needle;  // "/<dir>/"
+    needle.reserve(dir.size() + 2);
+    needle.append(1, '/').append(dir).append(1, '/');
     return path_.find(needle) != std::string::npos ||
-           path_.rfind(std::string(dir) + "/", 0) == 0;
+           std::string_view(path_).starts_with(
+               std::string_view(needle).substr(1));
   }
 
   bool in_sim_layer() const {
-    // src/backend is in scope even though shm/ibv are real-time: they must
+    // src/backend is in scope even though shm is real-time: it must
     // read the clock through common::mono_now() (the audited exemption in
     // common/clock.hpp), never a raw chrono/libc source — and the DES
     // backend shares the directory, where a leak would corrupt replay.
