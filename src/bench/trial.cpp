@@ -3,6 +3,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <string>
+#include <type_traits>
 
 #include "runner/fingerprint.hpp"
 
@@ -10,62 +13,258 @@ namespace partib::bench {
 
 namespace {
 
-// -- fingerprint feed helpers ------------------------------------------------
+// -- field lists --------------------------------------------------------------
+//
+// Fields<T>::of(x, f) calls f with every field of x, in hash order for
+// configs and payload order for results (trial.hpp says how to add one).
+// Config schemas also carry their tag and simulation entry point.
 
-void hash_loggp(runner::Hasher& h, const model::LogGPParams& p) {
-  h.i64(p.L).i64(p.o_s).i64(p.o_r).i64(p.g).f64(p.G);
+template <typename T>
+struct Fields;
+
+template <>
+struct Fields<model::LogGPParams> {
+  static void of(auto& p, auto&& f) { f(p.L, p.o_s, p.o_r, p.g, p.G); }
+};
+
+template <>
+struct Fields<fabric::NicParams> {
+  static void of(auto& n, auto&& f) {
+    f(n.wire, n.mtu, n.segment_header_bytes, n.max_outstanding_wr_per_qp,
+      n.qp_bw_share, n.qp_activation, n.o_post, n.ctrl_overhead);
+  }
+};
+
+template <>
+struct Fields<mpi::WorldOptions> {
+  static void of(auto& w, auto&& f) {
+    f(w.ranks, w.nic, w.copy_data, w.cores_per_rank, w.cq_depth,
+      w.pready_cpu, w.verbs_sw_per_msg, w.dpu_aggregation,
+      w.dpu_post_overhead);
+  }
+};
+
+template <>
+struct Fields<part::UcxModel> {
+  static void of(auto& u, auto&& f) {
+    f(u.bcopy_max, u.rndv_min, u.o_bcopy, u.copy_G, u.o_zcopy, u.o_rndv,
+      u.rndv_extra_latencies, u.eager_wire_share, u.model_lock_convoy);
+  }
+};
+
+template <>
+struct Fields<part::Options> {
+  static void of(auto& o, auto&& f) {
+    f(o.aggregator, o.transport_partitions_override, o.qp_count_override,
+      o.shared_resources, o.ucx);
+  }
+};
+
+/// Fields hashed after the "*/v1" keys were cut: they feed behind their
+/// own tag, and only when one differs from its default, so every key
+/// taken before they were hashed stays valid.
+void late_fields(const part::Options& o, const mpi::WorldOptions& w,
+                 auto&& f) {
+  f(o.max_send_retries, o.retry_backoff, w.faults, w.conn_max_connections,
+    w.conn_srq_capacity, w.conn_srq_limit);
 }
 
-void hash_nic(runner::Hasher& h, const fabric::NicParams& nic) {
-  hash_loggp(h, nic.wire);
-  h.u64(nic.mtu)
-      .u64(nic.segment_header_bytes)
-      .i64(nic.max_outstanding_wr_per_qp)
-      .f64(nic.qp_bw_share)
-      .i64(nic.qp_activation)
-      .i64(nic.o_post)
-      .i64(nic.ctrl_overhead);
+template <>
+struct Fields<OverheadConfig> {
+  static constexpr const char* kTag = "overhead/v1";
+  static constexpr auto run = run_overhead;
+  static void of(auto& c, auto&& f) {
+    f(c.total_bytes, c.user_partitions, c.iterations, c.warmup,
+      c.start_jitter_per_thread, c.seed, c.options, c.world);
+  }
+};
+
+template <>
+struct Fields<PerceivedConfig> {
+  static constexpr const char* kTag = "perceived/v1";
+  static constexpr auto run = run_perceived_bandwidth;
+  // c.profiler is intentionally not hashed: it is an observer, not an
+  // input; profiler-carrying grids bypass the cache instead (see
+  // run_perceived_grid).
+  static void of(auto& c, auto&& f) {
+    f(c.total_bytes, c.user_partitions, c.compute, c.noise,
+      c.jitter_per_thread, c.iterations, c.warmup, c.seed, c.options,
+      c.world);
+  }
+};
+
+template <>
+struct Fields<SweepConfig> {
+  static constexpr const char* kTag = "sweep/v1";
+  static constexpr auto run = run_sweep;
+  static void of(auto& c, auto&& f) {
+    f(c.px, c.py, c.threads, c.message_bytes, c.compute, c.noise,
+      c.jitter_per_thread, c.iterations, c.warmup, c.seed, c.options,
+      c.world);
+  }
+};
+
+template <>
+struct Fields<HaloConfig> {
+  static constexpr const char* kTag = "halo/v1";
+  static constexpr auto run = run_halo;
+  static void of(auto& c, auto&& f) {
+    f(c.px, c.py, c.threads, c.face_bytes, c.compute, c.noise,
+      c.jitter_per_thread, c.iterations, c.warmup, c.seed, c.options,
+      c.world);
+  }
+};
+
+template <>
+struct Fields<ConnScaleConfig> {
+  static constexpr const char* kTag = "connscale/v1";
+  static constexpr auto run = run_connscale;
+  static void of(auto& c, auto&& f) {
+    f(c.peers, c.alltoall, c.bytes, c.user_partitions, c.rounds, c.seed,
+      c.options, c.world);
+  }
+};
+
+template <>
+struct Fields<ZooConfig> {
+  static constexpr const char* kTag = "zoo/v1";
+  static constexpr auto run = run_zoo;
+  static void of(auto& c, auto&& f) {
+    f(c.shape, c.total_bytes, c.user_partitions, c.oracle, c.spread,
+      c.epochs, c.warmup, c.seed, c.options, c.world);
+  }
+};
+
+template <>
+struct Fields<OverheadResult> {
+  static void of(auto& r, auto&& f) {
+    f(r.mean_round, r.min_round, r.max_round, r.wrs_posted,
+      r.host_cpu_per_round);
+  }
+};
+
+template <>
+struct Fields<PerceivedResult> {
+  static void of(auto& r, auto&& f) {
+    f(r.mean_gbytes_per_s, r.min_gbytes_per_s, r.max_gbytes_per_s,
+      r.wire_gbytes_per_s, r.mean_wrs_per_round);
+  }
+};
+
+template <>
+struct Fields<SweepResult> {
+  static void of(auto& r, auto&& f) {
+    f(r.total_time, r.compute_on_path, r.comm_time);
+  }
+};
+
+template <>
+struct Fields<HaloResult> {
+  static void of(auto& r, auto&& f) {
+    f(r.total_time, r.compute_on_path, r.comm_time);
+  }
+};
+
+template <>
+struct Fields<ConnScaleResult> {
+  static void of(auto& r, auto&& f) {
+    f(r.mean_round, r.hot_qps, r.hot_cqs, r.hot_srqs, r.hot_provisioned_bytes,
+      r.hot_resident_bytes, r.establishments, r.recycles);
+  }
+};
+
+template <>
+struct Fields<ZooResult> {
+  static void of(auto& r, auto&& f) {
+    f(r.warm_gbytes_per_s, r.all_gbytes_per_s, r.phase_gbytes_per_s,
+      r.final_tp, r.final_delta_us, r.mean_wrs_per_epoch, r.replans_adopted);
+  }
+};
+
+// -- hashing ------------------------------------------------------------------
+
+/// Type-driven fingerprint feed.  Integers, enums and bools hash as their
+/// value widened to 64 bits, doubles by bit pattern.  Strategy identity
+/// comes from describe(): parameter-complete by contract
+/// (agg/aggregator.hpp), so two option sets hash equal exactly when they
+/// plan identically.  A fault plan hashes as its own fingerprint.
+struct Feed {
+  runner::Hasher& h;
+
+  void operator()(const auto&... v) { (field(v), ...); }
+
+  template <typename T>
+  void field(const T& v) {
+    if constexpr (std::is_floating_point_v<T>) {
+      h.f64(v);
+    } else if constexpr (std::is_integral_v<T> || std::is_enum_v<T>) {
+      h.u64(static_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_same_v<T, fabric::FaultPlanConfig>) {
+      h.u64(v.fingerprint());
+    } else if constexpr (std::is_same_v<
+                             T, std::shared_ptr<const agg::Aggregator>>) {
+      h.str(v ? v->describe() : "none");
+    } else {
+      Fields<T>::of(v, *this);
+    }
+  }
+};
+
+std::uint64_t late_digest(const part::Options& o,
+                          const mpi::WorldOptions& w) {
+  runner::Hasher h;
+  late_fields(o, w, Feed{h});
+  return h.digest();
 }
 
-void hash_world(runner::Hasher& h, const mpi::WorldOptions& w) {
-  h.i64(w.ranks);
-  hash_nic(h, w.nic);
-  h.boolean(w.copy_data)
-      .i64(w.cores_per_rank)
-      .i64(w.cq_depth)
-      .i64(w.pready_cpu)
-      .i64(w.verbs_sw_per_msg)
-      .boolean(w.dpu_aggregation)
-      .i64(w.dpu_post_overhead);
+template <typename Config>
+std::uint64_t fingerprint_of(const Config& cfg) {
+  runner::Hasher h;
+  h.str(Fields<Config>::kTag);
+  Fields<Config>::of(cfg, Feed{h});
+  static const std::uint64_t kLateDefaults =
+      late_digest(part::Options{}, mpi::WorldOptions{});
+  const std::uint64_t late = late_digest(cfg.options, cfg.world);
+  if (late != kLateDefaults) h.str("late").u64(late);
+  return h.digest();
 }
 
-void hash_ucx(runner::Hasher& h, const part::UcxModel& u) {
-  h.u64(u.bcopy_max)
-      .u64(u.rndv_min)
-      .i64(u.o_bcopy)
-      .f64(u.copy_G)
-      .i64(u.o_zcopy)
-      .i64(u.o_rndv)
-      .i64(u.rndv_extra_latencies)
-      .f64(u.eager_wire_share)
-      .boolean(u.model_lock_convoy);
-}
+// -- cache coding -------------------------------------------------------------
 
-void hash_options(runner::Hasher& h, const part::Options& o) {
-  // Strategy identity comes from describe(): parameter-complete by
-  // contract (agg/aggregator.hpp), so two option sets hash equal exactly
-  // when they plan identically.
-  h.str(o.aggregator ? o.aggregator->describe() : "none");
-  h.u64(o.transport_partitions_override).i64(o.qp_count_override);
-  h.boolean(o.shared_resources);
-  hash_ucx(h, o.ucx);
-}
+/// Type-driven payload encoder: space-separated fields, integers in
+/// decimal, doubles in %a hexfloat (round-trips bit-exactly through
+/// strtod), arrays element by element.
+struct Encoder {
+  std::string out;
 
-// -- codec helpers -----------------------------------------------------------
+  void operator()(const auto&... v) { (field(v), ...); }
 
-/// Whitespace-separated field scanner over a cache payload.  strtoll /
-/// strtod accept exactly what the encoders emit (decimal integers,
-/// printf %a hexfloats), so decode is an exact inverse of encode.
+  template <typename T>
+  void field(const T& v) {
+    char buf[40];
+    int n = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+      n = std::snprintf(buf, sizeof(buf), "%a", v);
+    } else if constexpr (std::is_signed_v<T>) {
+      n = std::snprintf(buf, sizeof(buf), "%" PRId64,
+                        static_cast<std::int64_t>(v));
+    } else {
+      n = std::snprintf(buf, sizeof(buf), "%" PRIu64,
+                        static_cast<std::uint64_t>(v));
+    }
+    if (!out.empty()) out += ' ';
+    out.append(buf, static_cast<std::size_t>(n));
+  }
+  template <typename T, std::size_t N>
+  void field(const T (&a)[N]) {
+    for (const T& x : a) field(x);
+  }
+};
+
+/// Whitespace-separated field scanner over a cache payload, the decoder
+/// matching Encoder.  strtoll / strtoull / strtod accept exactly what the
+/// encoder emits, so decode is an exact inverse of encode.  Text after
+/// the last field is ignored.
 struct FieldReader {
   const char* p;
   const char* end;
@@ -74,331 +273,119 @@ struct FieldReader {
   explicit FieldReader(std::string_view s)
       : p(s.data()), end(s.data() + s.size()) {}
 
-  std::int64_t i64() {
-    char* next = nullptr;
-    const long long v = std::strtoll(p, &next, 10);
-    return take(next) ? static_cast<std::int64_t>(v) : 0;
-  }
+  void operator()(auto&... v) { (field(v), ...); }
 
-  std::uint64_t u64() {
+  template <typename T>
+  void field(T& v) {
     char* next = nullptr;
-    const unsigned long long v = std::strtoull(p, &next, 10);
-    return take(next) ? static_cast<std::uint64_t>(v) : 0;
-  }
-
-  double f64() {
-    char* next = nullptr;
-    const double v = std::strtod(p, &next);
-    return take(next) ? v : 0.0;
-  }
-
- private:
-  bool take(char* next) {
+    T x{};
+    if constexpr (std::is_floating_point_v<T>) {
+      x = std::strtod(p, &next);
+    } else if constexpr (std::is_signed_v<T>) {
+      x = static_cast<T>(std::strtoll(p, &next, 10));
+    } else {
+      x = static_cast<T>(std::strtoull(p, &next, 10));
+    }
     // The payload is NUL-terminated by the cache layer's std::string, so
     // strto* cannot scan past `end`; a conversion that consumed nothing
     // (next == p) means a malformed/truncated payload.
     if (next == p || next > end) {
       ok = false;
-      return false;
+      x = T{};
+    } else {
+      p = next;
     }
-    p = next;
-    return true;
+    v = x;
+  }
+  template <typename T, std::size_t N>
+  void field(T (&a)[N]) {
+    for (T& x : a) field(x);
   }
 };
 
+template <typename Result>
+runner::Codec<Result> codec_of() {
+  runner::Codec<Result> c;
+  c.encode = [](const Result& r) -> std::string {
+    Encoder e;
+    Fields<Result>::of(r, e);
+    return std::move(e.out);
+  };
+  c.decode = [](std::string_view s, Result* r) -> bool {
+    FieldReader f(s);
+    Fields<Result>::of(*r, f);
+    return f.ok;
+  };
+  return c;
+}
+
+// -- trial form and grid runner -----------------------------------------------
+
+template <typename Config>
+auto trial_of(const Config& cfg) {
+  Config c = cfg;
+  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint_of(cfg));
+  return Fields<Config>::run(c);
+}
+
+template <typename Config>
+auto grid_of(const std::vector<Config>& grid, const runner::RunOptions& opts,
+             runner::RunStats* stats) {
+  using Result = decltype(trial_of(grid.front()));
+  return runner::run_trials<Config, Result>(grid, trial_of<Config>,
+                                            fingerprint_of<Config>,
+                                            codec_of<Result>(), opts, stats);
+}
+
 }  // namespace
 
-// -- fingerprints ------------------------------------------------------------
-
 std::uint64_t fingerprint(const OverheadConfig& cfg) {
-  runner::Hasher h;
-  h.str("overhead/v1")
-      .u64(cfg.total_bytes)
-      .u64(cfg.user_partitions)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .i64(cfg.start_jitter_per_thread)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return fingerprint_of(cfg);
 }
-
 std::uint64_t fingerprint(const PerceivedConfig& cfg) {
-  runner::Hasher h;
-  h.str("perceived/v1")
-      .u64(cfg.total_bytes)
-      .u64(cfg.user_partitions)
-      .i64(cfg.compute)
-      .f64(cfg.noise)
-      .i64(cfg.jitter_per_thread)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  // cfg.profiler is intentionally not hashed: it is an observer, not an
-  // input; profiler-carrying grids bypass the cache instead (see
-  // run_perceived_grid).
-  return h.digest();
+  return fingerprint_of(cfg);
 }
-
 std::uint64_t fingerprint(const SweepConfig& cfg) {
-  runner::Hasher h;
-  h.str("sweep/v1")
-      .i64(cfg.px)
-      .i64(cfg.py)
-      .u64(cfg.threads)
-      .u64(cfg.message_bytes)
-      .i64(cfg.compute)
-      .f64(cfg.noise)
-      .i64(cfg.jitter_per_thread)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return fingerprint_of(cfg);
 }
-
 std::uint64_t fingerprint(const HaloConfig& cfg) {
-  runner::Hasher h;
-  h.str("halo/v1")
-      .i64(cfg.px)
-      .i64(cfg.py)
-      .u64(cfg.threads)
-      .u64(cfg.face_bytes)
-      .i64(cfg.compute)
-      .f64(cfg.noise)
-      .i64(cfg.jitter_per_thread)
-      .i64(cfg.iterations)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return fingerprint_of(cfg);
 }
-
 std::uint64_t fingerprint(const ConnScaleConfig& cfg) {
-  runner::Hasher h;
-  h.str("connscale/v1")
-      .i64(cfg.peers)
-      .boolean(cfg.alltoall)
-      .u64(cfg.bytes)
-      .u64(cfg.user_partitions)
-      .i64(cfg.rounds)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
+  return fingerprint_of(cfg);
 }
-
-std::uint64_t fingerprint(const ZooConfig& cfg) {
-  runner::Hasher h;
-  h.str("zoo/v1")
-      .i64(static_cast<std::int64_t>(cfg.shape))
-      .u64(cfg.total_bytes)
-      .u64(cfg.user_partitions)
-      .boolean(cfg.oracle)
-      .i64(cfg.spread)
-      .i64(cfg.epochs)
-      .i64(cfg.warmup)
-      .u64(cfg.seed);
-  hash_options(h, cfg.options);
-  hash_world(h, cfg.world);
-  return h.digest();
-}
-
-// -- codecs ------------------------------------------------------------------
+std::uint64_t fingerprint(const ZooConfig& cfg) { return fingerprint_of(cfg); }
 
 runner::Codec<OverheadResult> overhead_codec() {
-  runner::Codec<OverheadResult> c;
-  c.encode = [](const OverheadResult& r) -> std::string {
-    char buf[192];
-    std::snprintf(buf, sizeof(buf),
-                  "%" PRId64 " %" PRId64 " %" PRId64 " %" PRIu64 " %" PRId64,
-                  static_cast<std::int64_t>(r.mean_round),
-                  static_cast<std::int64_t>(r.min_round),
-                  static_cast<std::int64_t>(r.max_round), r.wrs_posted,
-                  static_cast<std::int64_t>(r.host_cpu_per_round));
-    return buf;
-  };
-  c.decode = [](std::string_view s, OverheadResult* r) -> bool {
-    FieldReader f(s);
-    r->mean_round = f.i64();
-    r->min_round = f.i64();
-    r->max_round = f.i64();
-    r->wrs_posted = f.u64();
-    r->host_cpu_per_round = f.i64();
-    return f.ok;
-  };
-  return c;
+  return codec_of<OverheadResult>();
 }
-
 runner::Codec<PerceivedResult> perceived_codec() {
-  runner::Codec<PerceivedResult> c;
-  c.encode = [](const PerceivedResult& r) -> std::string {
-    // %a hexfloat round-trips doubles bit-exactly through strtod.
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), "%a %a %a %a %a", r.mean_gbytes_per_s,
-                  r.min_gbytes_per_s, r.max_gbytes_per_s, r.wire_gbytes_per_s,
-                  r.mean_wrs_per_round);
-    return buf;
-  };
-  c.decode = [](std::string_view s, PerceivedResult* r) -> bool {
-    FieldReader f(s);
-    r->mean_gbytes_per_s = f.f64();
-    r->min_gbytes_per_s = f.f64();
-    r->max_gbytes_per_s = f.f64();
-    r->wire_gbytes_per_s = f.f64();
-    r->mean_wrs_per_round = f.f64();
-    return f.ok;
-  };
-  return c;
+  return codec_of<PerceivedResult>();
 }
-
-runner::Codec<SweepResult> sweep_codec() {
-  runner::Codec<SweepResult> c;
-  c.encode = [](const SweepResult& r) -> std::string {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%" PRId64 " %" PRId64 " %" PRId64,
-                  static_cast<std::int64_t>(r.total_time),
-                  static_cast<std::int64_t>(r.compute_on_path),
-                  static_cast<std::int64_t>(r.comm_time));
-    return buf;
-  };
-  c.decode = [](std::string_view s, SweepResult* r) -> bool {
-    FieldReader f(s);
-    r->total_time = f.i64();
-    r->compute_on_path = f.i64();
-    r->comm_time = f.i64();
-    return f.ok;
-  };
-  return c;
-}
-
-runner::Codec<HaloResult> halo_codec() {
-  runner::Codec<HaloResult> c;
-  c.encode = [](const HaloResult& r) -> std::string {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf), "%" PRId64 " %" PRId64 " %" PRId64,
-                  static_cast<std::int64_t>(r.total_time),
-                  static_cast<std::int64_t>(r.compute_on_path),
-                  static_cast<std::int64_t>(r.comm_time));
-    return buf;
-  };
-  c.decode = [](std::string_view s, HaloResult* r) -> bool {
-    FieldReader f(s);
-    r->total_time = f.i64();
-    r->compute_on_path = f.i64();
-    r->comm_time = f.i64();
-    return f.ok;
-  };
-  return c;
-}
-
+runner::Codec<SweepResult> sweep_codec() { return codec_of<SweepResult>(); }
+runner::Codec<HaloResult> halo_codec() { return codec_of<HaloResult>(); }
 runner::Codec<ConnScaleResult> connscale_codec() {
-  runner::Codec<ConnScaleResult> c;
-  c.encode = [](const ConnScaleResult& r) -> std::string {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%" PRId64 " %" PRId64 " %" PRId64 " %" PRId64 " %" PRIu64
-                  " %" PRIu64 " %" PRIu64 " %" PRIu64,
-                  static_cast<std::int64_t>(r.mean_round), r.hot_qps,
-                  r.hot_cqs, r.hot_srqs, r.hot_provisioned_bytes,
-                  r.hot_resident_bytes, r.establishments, r.recycles);
-    return buf;
-  };
-  c.decode = [](std::string_view s, ConnScaleResult* r) -> bool {
-    FieldReader f(s);
-    r->mean_round = f.i64();
-    r->hot_qps = f.i64();
-    r->hot_cqs = f.i64();
-    r->hot_srqs = f.i64();
-    r->hot_provisioned_bytes = f.u64();
-    r->hot_resident_bytes = f.u64();
-    r->establishments = f.u64();
-    r->recycles = f.u64();
-    return f.ok;
-  };
-  return c;
+  return codec_of<ConnScaleResult>();
 }
-
-runner::Codec<ZooResult> zoo_codec() {
-  runner::Codec<ZooResult> c;
-  c.encode = [](const ZooResult& r) -> std::string {
-    char buf[320];
-    std::snprintf(buf, sizeof(buf),
-                  "%a %a %a %a %a %" PRId64 " %a %a %" PRId64,
-                  r.warm_gbytes_per_s, r.all_gbytes_per_s,
-                  r.phase_gbytes_per_s[0], r.phase_gbytes_per_s[1],
-                  r.phase_gbytes_per_s[2], r.final_tp, r.final_delta_us,
-                  r.mean_wrs_per_epoch, r.replans_adopted);
-    return buf;
-  };
-  c.decode = [](std::string_view s, ZooResult* r) -> bool {
-    FieldReader f(s);
-    r->warm_gbytes_per_s = f.f64();
-    r->all_gbytes_per_s = f.f64();
-    r->phase_gbytes_per_s[0] = f.f64();
-    r->phase_gbytes_per_s[1] = f.f64();
-    r->phase_gbytes_per_s[2] = f.f64();
-    r->final_tp = f.i64();
-    r->final_delta_us = f.f64();
-    r->mean_wrs_per_epoch = f.f64();
-    r->replans_adopted = f.i64();
-    return f.ok;
-  };
-  return c;
-}
-
-// -- trial forms -------------------------------------------------------------
+runner::Codec<ZooResult> zoo_codec() { return codec_of<ZooResult>(); }
 
 OverheadResult overhead_trial(const OverheadConfig& cfg) {
-  OverheadConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_overhead(c);
+  return trial_of(cfg);
 }
-
 PerceivedResult perceived_trial(const PerceivedConfig& cfg) {
-  PerceivedConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_perceived_bandwidth(c);
+  return trial_of(cfg);
 }
-
-SweepResult sweep_trial(const SweepConfig& cfg) {
-  SweepConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_sweep(c);
-}
-
-HaloResult halo_trial(const HaloConfig& cfg) {
-  HaloConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_halo(c);
-}
-
+SweepResult sweep_trial(const SweepConfig& cfg) { return trial_of(cfg); }
+HaloResult halo_trial(const HaloConfig& cfg) { return trial_of(cfg); }
 ConnScaleResult connscale_trial(const ConnScaleConfig& cfg) {
-  ConnScaleConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_connscale(c);
+  return trial_of(cfg);
 }
-
-ZooResult zoo_trial(const ZooConfig& cfg) {
-  ZooConfig c = cfg;
-  if (c.seed == 0) c.seed = runner::derive_seed(fingerprint(cfg));
-  return run_zoo(c);
-}
-
-// -- grid runners ------------------------------------------------------------
+ZooResult zoo_trial(const ZooConfig& cfg) { return trial_of(cfg); }
 
 std::vector<OverheadResult> run_overhead_grid(
     const std::vector<OverheadConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats) {
-  return runner::run_trials<OverheadConfig, OverheadResult>(
-      grid, overhead_trial,
-      [](const OverheadConfig& c) { return fingerprint(c); },
-      overhead_codec(), opts, stats);
+  return grid_of(grid, opts, stats);
 }
 
 std::vector<PerceivedResult> run_perceived_grid(
@@ -411,43 +398,31 @@ std::vector<PerceivedResult> run_perceived_grid(
       break;
     }
   }
-  return runner::run_trials<PerceivedConfig, PerceivedResult>(
-      grid, perceived_trial,
-      [](const PerceivedConfig& c) { return fingerprint(c); },
-      perceived_codec(), o, stats);
+  return grid_of(grid, o, stats);
 }
 
 std::vector<SweepResult> run_sweep_grid(const std::vector<SweepConfig>& grid,
                                         const runner::RunOptions& opts,
                                         runner::RunStats* stats) {
-  return runner::run_trials<SweepConfig, SweepResult>(
-      grid, sweep_trial, [](const SweepConfig& c) { return fingerprint(c); },
-      sweep_codec(), opts, stats);
+  return grid_of(grid, opts, stats);
 }
 
 std::vector<HaloResult> run_halo_grid(const std::vector<HaloConfig>& grid,
                                       const runner::RunOptions& opts,
                                       runner::RunStats* stats) {
-  return runner::run_trials<HaloConfig, HaloResult>(
-      grid, halo_trial, [](const HaloConfig& c) { return fingerprint(c); },
-      halo_codec(), opts, stats);
+  return grid_of(grid, opts, stats);
 }
 
 std::vector<ConnScaleResult> run_connscale_grid(
     const std::vector<ConnScaleConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats) {
-  return runner::run_trials<ConnScaleConfig, ConnScaleResult>(
-      grid, connscale_trial,
-      [](const ConnScaleConfig& c) { return fingerprint(c); },
-      connscale_codec(), opts, stats);
+  return grid_of(grid, opts, stats);
 }
 
 std::vector<ZooResult> run_zoo_grid(const std::vector<ZooConfig>& grid,
                                     const runner::RunOptions& opts,
                                     runner::RunStats* stats) {
-  return runner::run_trials<ZooConfig, ZooResult>(
-      grid, zoo_trial, [](const ZooConfig& c) { return fingerprint(c); },
-      zoo_codec(), opts, stats);
+  return grid_of(grid, opts, stats);
 }
 
 }  // namespace partib::bench

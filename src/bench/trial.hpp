@@ -3,14 +3,22 @@
 //
 // Each benchmark config type gets three things here:
 //
-//   * a `fingerprint()` — content hash of every field that can influence
-//     the simulated timeline (schema-tagged, e.g. "overhead/v1"; bump the
-//     tag whenever the trial semantics change so stale cache entries
-//     self-invalidate),
+//   * a `fingerprint()` — content hash of every config field that can
+//     influence the simulated timeline (schema-tagged, e.g. "overhead/v1";
+//     bump the tag whenever the trial semantics change so stale cache
+//     entries self-invalidate),
 //   * a `Codec` — exact textual round-trip of the result struct for the
 //     persistent cache (integers in decimal, doubles in hexfloat),
 //   * a grid runner `run_*_grid()` — submit a vector of configs through
 //     runner::run_trials and get results back in submission order.
+//
+// trial.cpp generates all of them from one field list per struct
+// (`Fields<T>`), so adding a field is one line there.  Appending a result
+// field is safe (older, shorter payloads fail to decode and are
+// recomputed); removing or reordering one needs a tag bump.  Appending a
+// config field re-keys its schema; a part::Options or mpi::WorldOptions
+// field that should keep existing keys goes in `late_fields()`, hashed
+// only when it differs from its default.
 //
 // Trial forms honour a seed convention: a config with `seed == 0` asks for
 // a derived seed, runner::derive_seed(fingerprint(cfg)) — deterministic,

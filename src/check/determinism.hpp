@@ -34,6 +34,9 @@ class DeterminismAuditor {
   /// auditor can also fingerprint reference implementations (e.g.
   /// tests/support/reference_engine.hpp) — anything exposing
   /// `set_dispatch_observer` with the sim::Engine observer signature.
+  /// The engine must outlive the attachment: the destructor detaches, so
+  /// declare the auditor after whatever owns the engine (or detach()
+  /// first).
   template <typename EngineT>
   void attach(EngineT& engine) {
     detach();

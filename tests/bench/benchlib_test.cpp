@@ -1,11 +1,16 @@
 // The benchmark harness itself: sane results from the overhead,
 // perceived-bandwidth and sweep generators, the parameter probe's
 // recovery of the configured fabric parameters, and pinned trial
-// fingerprints.
+// fingerprints and cache payloads.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <functional>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench/overhead.hpp"
 #include "bench/perceived.hpp"
@@ -266,6 +271,125 @@ TEST(TrialFingerprint, PinnedForZooLearningAndOracleArms) {
   oracle.options = oracle_options(params);
   oracle.oracle = true;
   EXPECT_EQ(fingerprint(oracle), 0x4187ea3b9175a28bULL);
+}
+
+// Fault injection, the connection-manager caps and the retry budget all
+// change the simulated timeline, so each must re-key the cache and the
+// derived seed, in every schema.  Spelling out a default value must not:
+// keys taken before these fields were hashed stay valid.
+template <typename Config>
+void expect_fault_and_connection_settings_rekey() {
+  using Edit = std::function<void(part::Options&, mpi::WorldOptions&)>;
+  const std::vector<Edit> edits = {
+      [](part::Options&, mpi::WorldOptions& w) { w.faults.drop_rate = 0.01; },
+      [](part::Options&, mpi::WorldOptions& w) { w.faults.seed = 7; },
+      [](part::Options&, mpi::WorldOptions& w) {
+        w.conn_max_connections = 64;
+      },
+      [](part::Options&, mpi::WorldOptions& w) { w.conn_srq_capacity = 512; },
+      [](part::Options&, mpi::WorldOptions& w) { w.conn_srq_limit = 32; },
+      [](part::Options& o, mpi::WorldOptions&) { o.max_send_retries = 1; },
+      [](part::Options& o, mpi::WorldOptions&) { o.retry_backoff = usec(8); },
+  };
+  std::set<std::uint64_t> seen = {fingerprint(Config{})};
+  for (const Edit& edit : edits) {
+    Config c;
+    edit(c.options, c.world);
+    EXPECT_TRUE(seen.insert(fingerprint(c)).second) << seen.size();
+  }
+  Config spelled;
+  spelled.world.conn_srq_limit = mpi::WorldOptions{}.conn_srq_limit;
+  spelled.options.max_send_retries = part::Options{}.max_send_retries;
+  EXPECT_EQ(fingerprint(spelled), fingerprint(Config{}));
+}
+
+TEST(TrialFingerprint, DistinguishesFaultAndConnectionSettings) {
+  expect_fault_and_connection_settings_rekey<OverheadConfig>();
+  expect_fault_and_connection_settings_rekey<PerceivedConfig>();
+  expect_fault_and_connection_settings_rekey<SweepConfig>();
+  expect_fault_and_connection_settings_rekey<HaloConfig>();
+  expect_fault_and_connection_settings_rekey<ConnScaleConfig>();
+  expect_fault_and_connection_settings_rekey<ZooConfig>();
+}
+
+// Cache payloads are the values of the persistent result cache: an
+// encoder change must not re-format entries already on disk.  Each case
+// pins the encoding of one non-default result (negative Durations, a
+// uint64 above INT64_MAX, non-round doubles) and checks the decode side:
+// bit-identical round trip, truncated payloads rejected, trailing text
+// after the last field accepted.
+template <typename Result>
+void expect_payload_pinned(const runner::Codec<Result>& codec,
+                           const Result& r, const std::string& payload) {
+  EXPECT_EQ(codec.encode(r), payload);
+  Result back{};
+  ASSERT_TRUE(codec.decode(payload, &back)) << payload;
+  EXPECT_EQ(std::memcmp(&back, &r, sizeof(Result)), 0) << payload;
+  Result scratch{};
+  EXPECT_TRUE(codec.decode(payload + " 7", &scratch)) << payload;
+  EXPECT_FALSE(codec.decode(payload.substr(0, payload.rfind(' ')), &scratch))
+      << payload;
+  EXPECT_FALSE(codec.decode("", &scratch));
+}
+
+TEST(TrialCodec, PayloadsPinned) {
+  OverheadResult overhead{};
+  overhead.mean_round = -1'234'567;
+  overhead.min_round = 42;
+  overhead.max_round = 9'876'543'210;
+  overhead.wrs_posted = 0xF000'0000'0000'0001ULL;
+  overhead.host_cpu_per_round = 777;
+  expect_payload_pinned(overhead_codec(), overhead,
+                        "-1234567 42 9876543210 17293822569102704641 777");
+
+  PerceivedResult perceived{};
+  perceived.mean_gbytes_per_s = 12.345678901234567;
+  perceived.min_gbytes_per_s = 1.0 / 3.0;
+  perceived.max_gbytes_per_s = -0.1;
+  perceived.wire_gbytes_per_s = 6.02e23;
+  perceived.mean_wrs_per_round = 1e-300;
+  expect_payload_pinned(perceived_codec(), perceived,
+      "0x1.8b0fcd32f707ap+3 0x1.5555555555555p-2 -0x1.999999999999ap-4 "
+      "0x1.fde9f10a8d361p+78 0x1.56e1fc2f8f359p-997");
+
+  SweepResult sweep{};
+  sweep.total_time = -5;
+  sweep.compute_on_path = 123'456'789'012;
+  sweep.comm_time = 987;
+  expect_payload_pinned(sweep_codec(), sweep, "-5 123456789012 987");
+
+  HaloResult halo{};
+  halo.total_time = 31'415'926;
+  halo.compute_on_path = -27'182;
+  halo.comm_time = 1;
+  expect_payload_pinned(halo_codec(), halo, "31415926 -27182 1");
+
+  ConnScaleResult connscale{};
+  connscale.mean_round = -99;
+  connscale.hot_qps = 4096;
+  connscale.hot_cqs = -3;
+  connscale.hot_srqs = 7;
+  connscale.hot_provisioned_bytes = 0xFFFF'FFFF'FFFF'FFFFULL;
+  connscale.hot_resident_bytes = 0x8000'0000'0000'0000ULL;
+  connscale.establishments = 12;
+  connscale.recycles = 3;
+  expect_payload_pinned(connscale_codec(), connscale,
+      "-99 4096 -3 7 18446744073709551615 9223372036854775808 12 3");
+
+  ZooResult zoo{};
+  zoo.warm_gbytes_per_s = 11.75;
+  zoo.all_gbytes_per_s = 1.0 / 7.0;
+  zoo.phase_gbytes_per_s[0] = 0.1;
+  zoo.phase_gbytes_per_s[1] = 2.5e-7;
+  zoo.phase_gbytes_per_s[2] = 3.14159;
+  zoo.final_tp = -24;
+  zoo.final_delta_us = 17.3;
+  zoo.mean_wrs_per_epoch = 33.333;
+  zoo.replans_adopted = 0x7FFF'FFFF'FFFF'FFFFLL;
+  expect_payload_pinned(zoo_codec(), zoo,
+      "0x1.78p+3 0x1.2492492492492p-3 0x1.999999999999ap-4 "
+      "0x1.0c6f7a0b5ed8dp-22 0x1.921f9f01b866ep+1 -24 0x1.14ccccccccccdp+4 "
+      "0x1.0aa9fbe76c8b4p+5 9223372036854775807");
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 // the no-flap property of the hysteresis comparison.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -41,8 +42,9 @@ PlanOut plan(const std::vector<Duration>& arrival,
 std::vector<Duration> ramp(std::size_t n, Duration spread) {
   std::vector<Duration> a(n);
   for (std::size_t i = 0; i < n; ++i) {
+    // n == 1 is a single arrival at 0 (and must not divide by zero).
     a[i] = (spread * static_cast<Duration>(i)) /
-           static_cast<Duration>(n - 1);
+           static_cast<Duration>(std::max<std::size_t>(n - 1, 1));
   }
   return a;
 }

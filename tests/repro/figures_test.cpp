@@ -252,8 +252,8 @@ TEST(Fig8, DisabledFaultPlanLeavesEventStreamIdentical) {
   // a world with no plan at all.
   std::uint64_t fp[2];
   for (int i = 0; i < 2; ++i) {
-    check::DeterminismAuditor auditor;
     ChannelFixture fx(512 * KiB, 32, ploggp_options());
+    check::DeterminismAuditor auditor;
     if (i == 1) {
       fx.world->fab().set_fault_plan(fabric::FaultPlan{});  // installed, inert
     }
