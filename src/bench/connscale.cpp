@@ -1,49 +1,21 @@
 #include "bench/connscale.hpp"
 
-#include <memory>
-#include <utility>
 #include <vector>
 
+#include "bench/rig.hpp"
 #include "mpi/conn.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "verbs/verbs.hpp"
 
 namespace partib::bench {
 
-namespace {
-
-struct Channel {
-  std::vector<std::byte> sbuf;
-  std::vector<std::byte> rbuf;
-  std::unique_ptr<part::PsendRequest> send;
-  std::unique_ptr<part::PrecvRequest> recv;
-};
-
-}  // namespace
-
 ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
-  sim::Engine engine;
-  mpi::WorldOptions wopts = cfg.world;
-  wopts.ranks = cfg.alltoall ? cfg.peers : cfg.peers + 1;
-  mpi::World world(engine, wopts);
+  Rig rig(cfg.world, cfg.alltoall ? cfg.peers : cfg.peers + 1);
+  sim::Engine& engine = rig.engine();
 
   std::vector<Channel> channels;
-  channels.reserve(cfg.alltoall
-                       ? static_cast<std::size_t>(cfg.peers) *
-                             static_cast<std::size_t>(cfg.peers - 1)
-                       : static_cast<std::size_t>(cfg.peers));
   auto add_channel = [&](int src, int dst, int tag) {
-    Channel c;
-    c.sbuf.resize(cfg.bytes);
-    c.rbuf.resize(cfg.bytes);
-    PARTIB_ASSERT(ok(part::psend_init(world.rank(src), c.sbuf,
-                                      cfg.user_partitions, dst, tag,
-                                      /*comm=*/0, cfg.options, &c.send)));
-    PARTIB_ASSERT(ok(part::precv_init(world.rank(dst), c.rbuf,
-                                      cfg.user_partitions, src, tag,
-                                      /*comm=*/0, cfg.options, &c.recv)));
-    channels.push_back(std::move(c));
+    channels.push_back(rig.channel(src, dst, tag, cfg.bytes,
+                                   cfg.user_partitions, cfg.options));
   };
   if (cfg.alltoall) {
     for (int i = 0; i < cfg.peers; ++i) {
@@ -54,7 +26,7 @@ ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
   } else {
     for (int p = 0; p < cfg.peers; ++p) add_channel(p + 1, 0, /*tag=*/p);
   }
-  engine.run();  // all handshakes
+  rig.settle();  // all handshakes
 
   Duration total = 0;
   for (int round = 1; round <= cfg.rounds; ++round) {
@@ -77,14 +49,15 @@ ConnScaleResult run_connscale(const ConnScaleConfig& cfg) {
 
   ConnScaleResult r;
   r.mean_round = total / std::max(cfg.rounds, 1);
-  const verbs::ResourceFootprint fp = world.rank(0).context().footprint();
+  mpi::Rank& hot = rig.rank(0);
+  const verbs::ResourceFootprint fp = hot.context().footprint();
   r.hot_qps = fp.qps;
   r.hot_cqs = fp.cqs;
   r.hot_srqs = fp.srqs;
   r.hot_provisioned_bytes = fp.provisioned_bytes;
   r.hot_resident_bytes = fp.resident_bytes;
-  if (world.rank(0).has_connections()) {
-    const mpi::ConnectionManager& mgr = world.rank(0).connections();
+  if (hot.has_connections()) {
+    const mpi::ConnectionManager& mgr = hot.connections();
     r.establishments = mgr.total_establishments();
     r.recycles = mgr.total_recycles();
   }

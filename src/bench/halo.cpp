@@ -1,161 +1,44 @@
 #include "bench/halo.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <vector>
-
-#include "common/assert.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
-#include "sim/noise.hpp"
-#include "sim/rng.hpp"
+#include "bench/stencil.hpp"
 
 namespace partib::bench {
 
 namespace {
 
-struct HaloRank {
-  std::vector<std::unique_ptr<part::PsendRequest>> sends;
-  std::vector<std::unique_ptr<part::PrecvRequest>> recvs;
-  std::unique_ptr<sim::Rng> rng;
-  int iter = 0;
-  std::size_t pending = 0;  ///< outstanding sends + recvs this iteration
-  std::size_t threads_done = 0;
-  bool compute_done = false;
-  Time warmup_done_at = -1;
-};
-
-struct HaloRun {
-  const HaloConfig& cfg;
-  sim::Engine& engine;
-  mpi::World& world;
-  std::vector<HaloRank> ranks;
-  int total_iters;
-  int finished = 0;
-
-  HaloRun(const HaloConfig& c, sim::Engine& e, mpi::World& w)
-      : cfg(c), engine(e), world(w),
-        ranks(static_cast<std::size_t>(c.px * c.py)),
-        total_iters(c.warmup + c.iterations) {}
-
-  int rank_id(int x, int y) const { return y * cfg.px + x; }
-
-  void begin_iteration(std::size_t r) {
-    HaloRank& hr = ranks[r];
-    hr.pending = hr.sends.size() + hr.recvs.size();
-    hr.threads_done = 0;
-    hr.compute_done = false;
-    auto on_done = [this, r] {
-      HaloRank& h = ranks[r];
-      PARTIB_ASSERT(h.pending > 0);
-      if (--h.pending == 0) maybe_finish(r);
-    };
-    for (auto& recv : hr.recvs) {
-      PARTIB_ASSERT(ok(recv->start()));
-      recv->when_complete(on_done);
-    }
-    for (auto& send : hr.sends) {
-      PARTIB_ASSERT(ok(send->start()));
-      send->when_complete(on_done);
-    }
-    start_compute(r);
+/// Per in-grid direction d, a send tagged d and the receive of the
+/// neighbour's send toward us, tagged with the opposite direction d ^ 1.
+std::vector<StencilLink> halo_links(int x, int y, int px, int py) {
+  static constexpr int kDirs[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+  std::vector<StencilLink> links;
+  for (int d = 0; d < 4; ++d) {
+    const int nx = x + kDirs[d][0];
+    const int ny = y + kDirs[d][1];
+    if (nx < 0 || nx >= px || ny < 0 || ny >= py) continue;
+    links.push_back({true, ny * px + nx, d});
+    links.push_back({false, ny * px + nx, d ^ 1});
   }
-
-  void start_compute(std::size_t r) {
-    HaloRank& hr = ranks[r];
-    const std::size_t n = cfg.threads;
-    const auto laggard = static_cast<std::size_t>(
-        hr.rng->uniform_int(0, static_cast<std::int64_t>(n) - 1));
-    sim::ArrivalPattern pattern =
-        sim::many_before_one(n, cfg.compute, cfg.noise, laggard);
-    const Duration span =
-        cfg.jitter_per_thread * static_cast<Duration>(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i != laggard) {
-        pattern[i] += static_cast<Duration>(
-            hr.rng->uniform(0.0, static_cast<double>(span)));
-      }
-    }
-    mpi::Rank& mr = world.rank(static_cast<int>(r));
-    for (std::size_t i = 0; i < n; ++i) {
-      mr.cpu().submit(pattern[i], [this, r, i] {
-        HaloRank& h = ranks[r];
-        for (auto& send : h.sends) PARTIB_ASSERT(ok(send->pready(i)));
-        if (++h.threads_done == cfg.threads) {
-          h.compute_done = true;
-          maybe_finish(r);
-        }
-      });
-    }
-  }
-
-  void maybe_finish(std::size_t r) {
-    HaloRank& hr = ranks[r];
-    if (!hr.compute_done || hr.pending != 0) return;
-    ++hr.iter;
-    if (hr.iter == cfg.warmup) hr.warmup_done_at = engine.now();
-    if (hr.iter < total_iters) {
-      begin_iteration(r);
-    } else {
-      ++finished;
-    }
-  }
-};
+  return links;
+}
 
 }  // namespace
 
 HaloResult run_halo(HaloConfig cfg) {
-  PARTIB_ASSERT(cfg.px >= 1 && cfg.py >= 1 && cfg.face_bytes > 0);
-  sim::Engine engine;
-  cfg.world.ranks = cfg.px * cfg.py;
-  cfg.world.copy_data = false;
-  mpi::World world(engine, cfg.world);
-  HaloRun run(cfg, engine, world);
-
-  std::vector<std::byte> shared_buffer(cfg.face_bytes);
-  // Four directions, tagged by the sender's direction index; dx/dy pairs
-  // and the tag the matching receiver listens on (opposite direction).
-  const int dirs[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
-  for (int y = 0; y < cfg.py; ++y) {
-    for (int x = 0; x < cfg.px; ++x) {
-      const int id = run.rank_id(x, y);
-      HaloRank& hr = run.ranks[static_cast<std::size_t>(id)];
-      hr.rng = std::make_unique<sim::Rng>(
-          cfg.seed ^ (static_cast<std::uint64_t>(id) * 0x517CC1B7ull));
-      mpi::Rank& mr = world.rank(id);
-      for (int d = 0; d < 4; ++d) {
-        const int nx = x + dirs[d][0];
-        const int ny = y + dirs[d][1];
-        if (nx < 0 || nx >= cfg.px || ny < 0 || ny >= cfg.py) continue;
-        std::unique_ptr<part::PsendRequest> send;
-        std::unique_ptr<part::PrecvRequest> recv;
-        PARTIB_ASSERT(ok(part::psend_init(mr, shared_buffer, cfg.threads,
-                                          run.rank_id(nx, ny), d, 0,
-                                          cfg.options, &send)));
-        // The neighbour sends toward us with the opposite direction index.
-        PARTIB_ASSERT(ok(part::precv_init(mr, shared_buffer, cfg.threads,
-                                          run.rank_id(nx, ny), d ^ 1, 0,
-                                          cfg.options, &recv)));
-        hr.sends.push_back(std::move(send));
-        hr.recvs.push_back(std::move(recv));
-      }
-    }
-  }
-  engine.run();  // settle handshakes
-
-  for (std::size_t r = 0; r < run.ranks.size(); ++r) run.begin_iteration(r);
-  engine.run();
-  PARTIB_ASSERT(run.finished == cfg.px * cfg.py);
-
-  Time warmup_done = 0;
-  for (const HaloRank& hr : run.ranks) {
-    warmup_done = std::max(warmup_done, hr.warmup_done_at);
-  }
-  HaloResult res;
-  res.total_time = engine.now() - warmup_done;
-  res.compute_on_path = static_cast<Duration>(cfg.iterations) * cfg.compute;
-  res.comm_time = res.total_time - res.compute_on_path;
-  return res;
+  const SweepConfig grid{.px = cfg.px,
+                         .py = cfg.py,
+                         .threads = cfg.threads,
+                         .message_bytes = cfg.face_bytes,
+                         .options = cfg.options,
+                         .compute = cfg.compute,
+                         .noise = cfg.noise,
+                         .jitter_per_thread = cfg.jitter_per_thread,
+                         .iterations = cfg.iterations,
+                         .warmup = cfg.warmup,
+                         .seed = cfg.seed,
+                         .world = cfg.world};
+  return run_stencil(grid, {.rng_salt = 0x517CC1B7u,
+                            .compute_waits_for_recvs = false,
+                            .links = halo_links});
 }
 
 }  // namespace partib::bench

@@ -11,6 +11,7 @@
 
 #include <cstddef>
 
+#include "bench/sweep.hpp"
 #include "common/time.hpp"
 #include "mpi/world.hpp"
 #include "part/options.hpp"
@@ -32,11 +33,9 @@ struct HaloConfig {
   mpi::WorldOptions world;
 };
 
-struct HaloResult {
-  Duration total_time = 0;       ///< measured iterations only
-  Duration compute_on_path = 0;  ///< iterations * nominal compute
-  Duration comm_time = 0;
-};
+/// total_time over the measured iterations, compute_on_path =
+/// iterations * nominal compute, comm_time the difference.
+using HaloResult = SweepResult;
 
 HaloResult run_halo(HaloConfig cfg);
 

@@ -2,32 +2,22 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
+#include "bench/rig.hpp"
 #include "common/assert.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "sim/rng.hpp"
 
 namespace partib::bench {
 
 OverheadResult run_overhead(const OverheadConfig& cfg) {
   PARTIB_ASSERT(cfg.total_bytes > 0 && cfg.user_partitions > 0);
-  sim::Engine engine;
-  mpi::WorldOptions wopts = cfg.world;
-  wopts.ranks = 2;
-  // Only the timeline matters here; skip payload memcpy.
-  wopts.copy_data = false;
-  mpi::World world(engine, wopts);
-
-  std::vector<std::byte> sbuf(cfg.total_bytes), rbuf(cfg.total_bytes);
-  std::unique_ptr<part::PsendRequest> send;
-  std::unique_ptr<part::PrecvRequest> recv;
-  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), sbuf, cfg.user_partitions,
-                                    1, 0, 0, cfg.options, &send)));
-  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), rbuf, cfg.user_partitions,
-                                    0, 0, 0, cfg.options, &recv)));
-  engine.run();  // settle the handshake outside the timed region
+  Rig rig(cfg.world, 2);
+  sim::Engine& engine = rig.engine();
+  const Channel c = rig.channel(0, 1, 0, cfg.total_bytes,
+                                cfg.user_partitions, cfg.options);
+  part::PsendRequest& send = *c.send;
+  part::PrecvRequest& recv = *c.recv;
+  rig.settle();  // the handshake stays outside the timed region
 
   OverheadResult res;
   res.min_round = std::numeric_limits<Duration>::max();
@@ -45,20 +35,20 @@ OverheadResult run_overhead(const OverheadConfig& cfg) {
   // sender rank during the measured window is communication work.
   for (int iter = 0; iter < cfg.warmup + cfg.iterations; ++iter) {
     if (iter == cfg.warmup) {
-      wrs_at_measure_start = send->wrs_posted_total();
-      cpu_at_measure_start = world.rank(0).cpu().total_work_submitted();
+      wrs_at_measure_start = send.wrs_posted_total();
+      cpu_at_measure_start = rig.rank(0).cpu().total_work_submitted();
     }
     const Time t0 = engine.now();
-    PARTIB_ASSERT(ok(send->start()));
-    PARTIB_ASSERT(ok(recv->start()));
+    PARTIB_ASSERT(ok(send.start()));
+    PARTIB_ASSERT(ok(recv.start()));
     for (std::size_t i = 0; i < cfg.user_partitions; ++i) {
       const auto delay = static_cast<Duration>(
           rng.uniform(0.0, static_cast<double>(jitter_span)));
       engine.schedule_after(
-          delay, [&send, i] { PARTIB_ASSERT(ok(send->pready(i))); });
+          delay, [&send, i] { PARTIB_ASSERT(ok(send.pready(i))); });
     }
     engine.run();
-    PARTIB_ASSERT(send->test() && recv->test());
+    PARTIB_ASSERT(send.test() && recv.test());
     const Duration dt = engine.now() - t0;
     if (iter >= cfg.warmup) {
       sum += dt;
@@ -68,9 +58,9 @@ OverheadResult run_overhead(const OverheadConfig& cfg) {
     }
   }
   res.mean_round = sum / std::max(measured, 1);
-  res.wrs_posted = send->wrs_posted_total() - wrs_at_measure_start;
+  res.wrs_posted = send.wrs_posted_total() - wrs_at_measure_start;
   res.host_cpu_per_round =
-      (world.rank(0).cpu().total_work_submitted() - cpu_at_measure_start) /
+      (rig.rank(0).cpu().total_work_submitted() - cpu_at_measure_start) /
       std::max(measured, 1);
   return res;
 }

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <vector>
 
+#include "bench/rig.hpp"
 #include "common/assert.hpp"
-#include "part/partitioned.hpp"
-#include "sim/engine.hpp"
 #include "sim/noise.hpp"
 #include "sim/rng.hpp"
 
@@ -14,20 +12,14 @@ namespace partib::bench {
 
 PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg) {
   PARTIB_ASSERT(cfg.total_bytes > 0 && cfg.user_partitions > 0);
-  sim::Engine engine;
-  cfg.world.ranks = 2;
-  cfg.world.copy_data = false;
-  mpi::World world(engine, cfg.world);
+  Rig rig(cfg.world, 2);
+  sim::Engine& engine = rig.engine();
   sim::Rng rng(cfg.seed);
-
-  std::vector<std::byte> sbuf(cfg.total_bytes), rbuf(cfg.total_bytes);
-  std::unique_ptr<part::PsendRequest> send;
-  std::unique_ptr<part::PrecvRequest> recv;
-  PARTIB_ASSERT(ok(part::psend_init(world.rank(0), sbuf, cfg.user_partitions,
-                                    1, 0, 0, cfg.options, &send)));
-  PARTIB_ASSERT(ok(part::precv_init(world.rank(1), rbuf, cfg.user_partitions,
-                                    0, 0, 0, cfg.options, &recv)));
-  engine.run();
+  const Channel c = rig.channel(0, 1, 0, cfg.total_bytes,
+                                cfg.user_partitions, cfg.options);
+  part::PsendRequest& send = *c.send;
+  part::PrecvRequest& recv = *c.recv;
+  rig.settle();
 
   PerceivedResult res;
   res.min_gbytes_per_s = std::numeric_limits<double>::max();
@@ -38,9 +30,9 @@ PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg) {
 
   for (int iter = 0; iter < cfg.warmup + cfg.iterations; ++iter) {
     const bool record = iter >= cfg.warmup;
-    if (iter == cfg.warmup) wrs_at_measure_start = send->wrs_posted_total();
-    PARTIB_ASSERT(ok(send->start()));
-    PARTIB_ASSERT(ok(recv->start()));
+    if (iter == cfg.warmup) wrs_at_measure_start = send.wrs_posted_total();
+    PARTIB_ASSERT(ok(send.start()));
+    PARTIB_ASSERT(ok(recv.start()));
     if (record && cfg.profiler != nullptr) {
       cfg.profiler->begin_round(engine.now());
     }
@@ -61,25 +53,25 @@ PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg) {
 
     Time last_pready = 0;
     for (std::size_t i = 0; i < cfg.user_partitions; ++i) {
-      world.rank(0).cpu().submit(pattern[i], [&, i, record] {
+      rig.rank(0).cpu().submit(pattern[i], [&, i, record] {
         last_pready = std::max(last_pready, engine.now());
         if (record && cfg.profiler != nullptr) {
           cfg.profiler->record_pready(i, engine.now());
         }
-        PARTIB_ASSERT(ok(send->pready(i)));
+        PARTIB_ASSERT(ok(send.pready(i)));
       });
     }
     Time recv_done = -1;
-    recv->when_complete([&] { recv_done = engine.now(); });
+    recv.when_complete([&] { recv_done = engine.now(); });
     if (record && cfg.profiler != nullptr) {
-      recv->set_arrival_hook([&cfg](std::size_t p, Time t) {
+      recv.set_arrival_hook([&cfg](std::size_t p, Time t) {
         cfg.profiler->record_arrival(p, t);
       });
     } else {
-      recv->set_arrival_hook(nullptr);
+      recv.set_arrival_hook(nullptr);
     }
     engine.run();
-    PARTIB_ASSERT(send->test() && recv->test());
+    PARTIB_ASSERT(send.test() && recv.test());
     PARTIB_ASSERT(recv_done >= last_pready);
 
     if (record) {
@@ -94,7 +86,7 @@ PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg) {
   }
   res.mean_gbytes_per_s = sum / std::max(measured, 1);
   res.mean_wrs_per_round =
-      static_cast<double>(send->wrs_posted_total() - wrs_at_measure_start) /
+      static_cast<double>(send.wrs_posted_total() - wrs_at_measure_start) /
       std::max(measured, 1);
   return res;
 }

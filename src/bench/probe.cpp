@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bench/rig.hpp"
 #include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "common/units.hpp"
@@ -27,8 +28,8 @@ struct ProbePair {
   verbs::Cq* rcq;
   verbs::Qp* sqp;
   verbs::Qp* rqp;
-  std::vector<std::byte> sbuf;
-  std::vector<std::byte> rbuf;
+  std::unique_ptr<std::byte[]> sbuf;
+  std::unique_ptr<std::byte[]> rbuf;
   verbs::Mr* smr;
   verbs::Mr* rmr;
 
@@ -42,10 +43,11 @@ struct ProbePair {
     rpd = &rctx->alloc_pd();
     scq = &sctx->create_cq(1 << 16);
     rcq = &rctx->create_cq(1 << 16);
-    sbuf.resize(buf_bytes);
-    rbuf.resize(buf_bytes);
-    smr = &spd->register_mr(sbuf, verbs::kLocalRead);
-    rmr = &rpd->register_mr(rbuf, verbs::kLocalWrite | verbs::kRemoteWrite);
+    sbuf = unread_payload(buf_bytes);
+    rbuf = unread_payload(buf_bytes);
+    smr = &spd->register_mr({sbuf.get(), buf_bytes}, verbs::kLocalRead);
+    rmr = &rpd->register_mr({rbuf.get(), buf_bytes},
+                            verbs::kLocalWrite | verbs::kRemoteWrite);
     verbs::QpCaps caps;
     caps.max_send_wr = params.max_outstanding_wr_per_qp;
     caps.max_recv_wr = 4096;
@@ -65,7 +67,7 @@ struct ProbePair {
     verbs::SendWr wr;
     wr.opcode = verbs::Opcode::kRdmaWriteWithImm;
     wr.sg_list.push_back(verbs::Sge{
-        wire_addr(sbuf.data()),
+        wire_addr(sbuf.get()),
         static_cast<std::uint32_t>(bytes), smr->lkey()});
     wr.remote_addr = rmr->addr();
     wr.rkey = rmr->rkey();
@@ -92,7 +94,7 @@ struct ProbePair {
     verbs::SendWr wr;
     wr.opcode = verbs::Opcode::kRdmaWriteWithImm;
     wr.sg_list.push_back(verbs::Sge{
-        wire_addr(sbuf.data()),
+        wire_addr(sbuf.get()),
         static_cast<std::uint32_t>(bytes), smr->lkey()});
     wr.remote_addr = rmr->addr();
     wr.rkey = rmr->rkey();

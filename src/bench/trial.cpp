@@ -159,13 +159,6 @@ struct Fields<SweepResult> {
 };
 
 template <>
-struct Fields<HaloResult> {
-  static void of(auto& r, auto&& f) {
-    f(r.total_time, r.compute_on_path, r.comm_time);
-  }
-};
-
-template <>
 struct Fields<ConnScaleResult> {
   static void of(auto& r, auto&& f) {
     f(r.mean_round, r.hot_qps, r.hot_cqs, r.hot_srqs, r.hot_provisioned_bytes,

@@ -1,8 +1,10 @@
 // The benchmark harness itself: sane results from the overhead,
-// perceived-bandwidth and sweep generators, the parameter probe's
-// recovery of the configured fabric parameters, and pinned trial
-// fingerprints and cache payloads.
+// perceived-bandwidth and stencil (sweep, halo) generators, a rig payload
+// that never becomes resident, the parameter probe's recovery of the
+// configured fabric parameters, and pinned trial fingerprints and cache
+// payloads.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstring>
@@ -16,6 +18,7 @@
 #include "bench/perceived.hpp"
 #include "bench/probe.hpp"
 #include "bench/report.hpp"
+#include "bench/halo.hpp"
 #include "bench/sweep.hpp"
 #include "bench/trial.hpp"
 #include "common/units.hpp"
@@ -202,6 +205,73 @@ TEST(Sweep, DeterministicForSameSeed) {
   cfg.iterations = 2;
   cfg.warmup = 1;
   EXPECT_EQ(run_sweep(cfg).total_time, run_sweep(cfg).total_time);
+  // The halo pattern runs on the same stencil runner.
+  HaloConfig halo;
+  halo.px = 2;
+  halo.py = 2;
+  halo.threads = 4;
+  halo.face_bytes = 64 * KiB;
+  halo.options = ploggp();
+  halo.compute = usec(200);
+  halo.iterations = 2;
+  halo.warmup = 1;
+  EXPECT_EQ(run_halo(halo).total_time, run_halo(halo).total_time);
+}
+
+TEST(Stencil, SweepComputeWaitsForReceivesHaloComputesAtOnce) {
+  // Two ranks in a row, one noiseless iteration of 1 ms compute.  The
+  // wavefront's east rank computes only after the west rank's compute
+  // has reached it: two computes in series.  Both halo ranks compute at
+  // once and only then exchange faces.
+  SweepConfig sweep;
+  sweep.px = 2;
+  sweep.py = 1;
+  sweep.threads = 2;
+  sweep.message_bytes = 4 * KiB;
+  sweep.options = ploggp();
+  sweep.noise = 0.0;
+  sweep.jitter_per_thread = 0;
+  sweep.iterations = 1;
+  sweep.warmup = 0;
+  EXPECT_GE(run_sweep(sweep).total_time, 2 * sweep.compute);
+
+  HaloConfig halo;
+  halo.px = 2;
+  halo.py = 1;
+  halo.threads = 2;
+  halo.face_bytes = 4 * KiB;
+  halo.options = ploggp();
+  halo.noise = 0.0;
+  halo.jitter_per_thread = 0;
+  halo.iterations = 1;
+  halo.warmup = 0;
+  const Duration total = run_halo(halo).total_time;
+  EXPECT_GE(total, halo.compute);
+  EXPECT_LT(total, 2 * halo.compute);
+}
+
+TEST(BenchRig, PayloadIsNeverTouched) {
+  // Trials run with copy_data = false, so nothing reads or writes the
+  // rig's payload and it must never become resident: a perceived trial
+  // over two 128 MiB buffers may grow the peak RSS by far less than their
+  // 256 MiB.  The bound leaves room for AddressSanitizer, whose shadow of
+  // the payload alone is one eighth of it.  ctest runs each test in its
+  // own process, so the delta is this trial's alone.
+  const auto peak_rss_mib = [] {
+    rusage ru{};
+    EXPECT_EQ(getrusage(RUSAGE_SELF, &ru), 0);
+    return ru.ru_maxrss / 1024;  // ru_maxrss is in KiB
+  };
+  PerceivedConfig cfg;
+  cfg.total_bytes = 128 * MiB;
+  cfg.options = ploggp();
+  cfg.iterations = 1;
+  cfg.warmup = 0;
+  const long before = peak_rss_mib();
+  const PerceivedResult r = run_perceived_bandwidth(cfg);
+  const long grown = peak_rss_mib() - before;
+  EXPECT_GT(r.mean_gbytes_per_s, 0.0);
+  EXPECT_LT(grown, 64) << "peak RSS grew by " << grown << " MiB";
 }
 
 TEST(Probe, RecoversEffectivePerByteCost) {
