@@ -126,8 +126,8 @@ BENCHMARK(BM_FluidNetworkFanIn)->Arg(8)->Arg(64);
 
 void BM_RunnerSweep(benchmark::State& state) {
   // Dispatch overhead of the parallel experiment runner: 256 trials whose
-  // body is a tiny 64-event simulation, so pool submission, stealing and
-  // submission-order collection dominate.  No cache — this measures the
+  // body is a tiny 64-event simulation, so worker start-up, slot claiming
+  // and submission-order collection dominate.  No cache — this measures the
   // execute path, not fingerprint I/O.
   struct Cfg {
     std::uint64_t id = 0;

@@ -146,7 +146,7 @@ void observer_acquire(const void* mu, const char* name) {
 
 void observer_release(const void* mu, const char* /*name*/) {
   if (t_in_observer) return;
-  // Non-LIFO release is legal (CondVar::wait releases mid-stack), so
+  // Non-LIFO release is legal (an outer lock may be unlocked first), so
   // search from the top.  A miss means the lock predates audit enable.
   for (std::size_t i = t_held.size(); i > 0; --i) {
     if (t_held[i - 1].mu == mu) {

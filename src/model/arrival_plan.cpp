@@ -11,10 +11,6 @@ namespace partib::model {
 
 namespace {
 
-Duration wire_time(const LogGPParams& p, std::size_t bytes) {
-  return static_cast<Duration>(p.G * static_cast<double>(bytes));
-}
-
 Duration clamp_duration(Duration v, Duration lo, Duration hi) {
   return v < lo ? lo : (v > hi ? hi : v);
 }
@@ -146,7 +142,7 @@ PARTIB_HOT Duration predict_grouped_completion(
     const std::uint32_t idx = scratch.post_order[i];
     const Duration start =
         std::max(scratch.post_time[idx] + p.o_s, wire_free);
-    const Duration end = start + wire_time(p, scratch.post_bytes[idx]);
+    const Duration end = start + p.wire_time(scratch.post_bytes[idx]);
     wire_free = end + p.per_message_cost();
     last_end = std::max(last_end, end);
   }

@@ -8,6 +8,10 @@ Duration LogGPParams::per_message_cost() const {
   return std::max({g, o_s, o_r});
 }
 
+Duration LogGPParams::wire_time(std::size_t bytes) const {
+  return static_cast<Duration>(G * static_cast<double>(bytes));
+}
+
 LogGPParams LogGPParams::niagara_mpi_measured() {
   // EDR InfiniBand is 100 Gb/s; an MPI-level effective bandwidth of
   // ~12.5 GB/s gives G = 0.08 ns/B.  The gap is the MPI-transport value

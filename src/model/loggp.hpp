@@ -16,6 +16,8 @@
 //    direct-verbs values used by the simulated NIC.
 #pragma once
 
+#include <cstddef>
+
 #include "common/time.hpp"
 
 namespace partib::model {
@@ -30,6 +32,9 @@ struct LogGPParams {
   /// max(g, o_s, o_r): the per-message cost LogGP charges between
   /// back-to-back messages (see the paper's Fig 2 formula).
   Duration per_message_cost() const;
+
+  /// G * bytes, truncated to whole ns: the wire time of one message.
+  Duration wire_time(std::size_t bytes) const;
 
   /// Netgauge-MPI-module-like parameters for a Niagara-class
   /// (EDR InfiniBand, Open MPI + UCX) system.  Chosen so the PLogGP

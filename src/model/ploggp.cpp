@@ -7,20 +7,12 @@
 
 namespace partib::model {
 
-namespace {
-
-Duration wire_time(const LogGPParams& p, std::size_t bytes) {
-  return static_cast<Duration>(p.G * static_cast<double>(bytes));
-}
-
-}  // namespace
-
 Duration completion_time(const LogGPParams& p, const PLogGPQuery& q) {
   PARTIB_ASSERT(q.transport_partitions >= 1);
   PARTIB_ASSERT(q.message_bytes >= q.transport_partitions);
   const auto P = static_cast<Duration>(q.transport_partitions);
   const std::size_t k = q.message_bytes / q.transport_partitions;
-  return q.delay + p.o_s + wire_time(p, k) + p.L + p.o_r +
+  return q.delay + p.o_s + p.wire_time(k) + p.L + p.o_r +
          (P - 1) * p.per_message_cost();
 }
 
@@ -30,10 +22,10 @@ Duration completion_time_with_drain(const LogGPParams& p,
   PARTIB_ASSERT(q.message_bytes >= q.transport_partitions);
   const auto P = static_cast<Duration>(q.transport_partitions);
   const std::size_t k = q.message_bytes / q.transport_partitions;
-  const Duration period = std::max(p.g, wire_time(p, k));
+  const Duration period = std::max(p.g, p.wire_time(k));
   const Duration early_drain = p.o_s + (P - 1) * period;
   const Duration laggard_start = std::max(q.delay + p.o_s, early_drain);
-  return laggard_start + wire_time(p, k) + p.L + p.o_r +
+  return laggard_start + p.wire_time(k) + p.L + p.o_r +
          (P - 1) * p.per_message_cost();
 }
 

@@ -547,24 +547,23 @@ void PsendRequest::on_doorbell_granted(std::uint32_t id) {
 }
 
 void PsendRequest::post_staged(std::uint32_t id) {
-  StagedWr& staged = staged_[id];
+  // Errored mid-round (parked until progress() recycles the QP) or all 16
+  // WR slots busy (software-queued, retried on the next CQE).
+  if (!try_post(id)) qp_backlog_[staged_[id].qp_index].push_back(id);
+}
+
+bool PsendRequest::try_post(std::uint32_t id) {
+  const StagedWr& staged = staged_[id];
   verbs::Qp& qp = *qps_[staged.qp_index];
-  if (qp.state() != verbs::QpState::kRts) {
-    // Errored mid-round; park until progress() recycles the QP.
-    qp_backlog_[staged.qp_index].push_back(id);
-    return;
-  }
+  if (qp.state() != verbs::QpState::kRts) return false;
   const Status st = qp.post_send(staged.wr);
-  if (st == Status::kResourceExhausted) {
-    // All 16 WR slots busy: software-queue and retry on the next CQE.
-    qp_backlog_[staged.qp_index].push_back(id);
-    return;
-  }
+  if (st == Status::kResourceExhausted) return false;
   PARTIB_ASSERT_MSG(ok(st), to_string(st));
   ++wrs_posted_total_;
   if (conn_id_ != mpi::ConnectionManager::kNilConn) {
     rank_.connections().note_posted(conn_id_, staged.wr.sg_list[0].length);
   }
+  return true;
 }
 
 void PsendRequest::schedule_progress() {
@@ -636,15 +635,8 @@ void PsendRequest::progress() {
   }
   // Freed WR slots: drain software backlogs.  The staged record is only
   // dequeued once the QP accepts it, so a still-full QP costs one peek.
-  for (std::size_t q = 0; q < qp_backlog_.size(); ++q) {
-    auto& backlog = qp_backlog_[q];
-    while (!backlog.empty()) {
-      if (qps_[q]->state() != verbs::QpState::kRts) break;
-      const std::uint32_t id = backlog.front();
-      const Status st = qps_[q]->post_send(staged_[id].wr);
-      if (st == Status::kResourceExhausted) break;
-      PARTIB_ASSERT(ok(st));
-      ++wrs_posted_total_;
+  for (auto& backlog : qp_backlog_) {
+    while (!backlog.empty() && try_post(backlog.front())) {
       backlog.pop_front();
     }
   }

@@ -217,6 +217,11 @@ class PsendRequest {
   void on_host_work_done(std::uint32_t id);
   void on_doorbell_granted(std::uint32_t id);
   void post_staged(std::uint32_t id);
+  /// Post record `id` on its QP if the QP is in RTS and has a free WR
+  /// slot, counting it (wrs_posted_total_, ConnectionManager::note_posted);
+  /// false leaves it for the caller to park.  The one posting path of the
+  /// pipeline and the backlog drain.
+  bool try_post(std::uint32_t id);
   // -- fault recovery (docs/FAULTS.md) --------------------------------------
   /// A send CQE carried a retryable error for record `id`: schedule a
   /// backed-off re-post, or fail the channel once the budget is spent.

@@ -3,9 +3,9 @@
 // A figure benchmark or tuning-table search is hundreds of *independent*
 // DES trials — each builds its own sim::Engine and mpi::World, runs to
 // quiescence, and reduces to a small result struct.  `run_trials` executes
-// such a grid across host cores on a work-stealing pool
-// (runner/thread_pool.hpp) while keeping the three properties the
-// figure pipeline depends on:
+// such a grid across host cores with a fixed set of worker threads that
+// claim trials from one atomic cursor, while keeping the three properties
+// the figure pipeline depends on:
 //
 //  1. **Determinism** — each trial's RNG seed is a pure function of its
 //     config (the drivers pin seeds; configs that ask for a derived seed
@@ -13,7 +13,9 @@
 //     *submission order*, so the emitted CSV/table is byte-identical for
 //     any worker count, including --jobs=1 (which runs every trial
 //     inline on the calling thread, reproducing the historical serial
-//     behaviour exactly — no pool threads are even spawned).
+//     behaviour exactly — no worker threads are even spawned).  A failing
+//     grid surfaces the exception of its lowest-index failing trial, so
+//     the error, too, is the same for every job count.
 //  2. **Memoization** — with a ResultCache attached, a trial whose
 //     fingerprint is already on disk is decoded instead of simulated, so
 //     re-running a figure or resuming an interrupted table search pays
@@ -24,18 +26,17 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <thread>
 #include <vector>
 
-#include "common/assert.hpp"
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "runner/result_cache.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace partib::runner {
 
@@ -64,65 +65,9 @@ struct Codec {
   bool (*decode)(std::string_view, Result*) = nullptr;
 };
 
-namespace detail {
-
-/// Countdown latch (C++20 std::latch needs a count at construction
-/// before cache hits are known; this one is just as small).
-class Latch {
- public:
-  explicit Latch(std::size_t count) : remaining_(count) {}
-
-  void count_down() {
-    common::MutexLock lock(mutex_);
-    PARTIB_ASSERT(remaining_ > 0);
-    if (--remaining_ == 0) done_.notify_all();
-  }
-
-  void wait() {
-    common::MutexLock lock(mutex_);
-    while (remaining_ != 0) done_.wait(mutex_);
-  }
-
- private:
-  common::Mutex mutex_{"runner.latch"};
-  common::CondVar done_;
-  std::size_t remaining_ PARTIB_GUARDED_BY(mutex_);
-};
-
-/// First-exception box: trials run on pool workers, where a throw must
-/// not unwind (the pool would terminate and the latch would never count
-/// down — see thread_pool.hpp).  Each worker stows its exception here
-/// instead; run_trials rethrows the first one on the submitting thread
-/// after every task has signalled the latch, so the pool always winds
-/// down cleanly even when trials fail.
-class ErrorBox {
- public:
-  void capture() {
-    common::MutexLock lock(mutex_);
-    if (!first_) first_ = std::current_exception();
-  }
-
-  [[noreturn]] void rethrow() {
-    std::exception_ptr e;
-    {
-      common::MutexLock lock(mutex_);
-      e = first_;
-    }
-    PARTIB_ASSERT(e != nullptr);
-    std::rethrow_exception(e);
-  }
-
-  bool armed() {
-    common::MutexLock lock(mutex_);
-    return first_ != nullptr;
-  }
-
- private:
-  common::Mutex mutex_{"runner.error_box"};
-  std::exception_ptr first_ PARTIB_GUARDED_BY(mutex_);
-};
-
-}  // namespace detail
+/// Default worker count: PARTIB_JOBS when set (>= 1), otherwise the
+/// hardware concurrency (>= 1).
+std::size_t default_jobs();
 
 /// Execute `trial` over every config, in parallel, returning results in
 /// submission order.  `fingerprint` must hash every config field that can
@@ -166,32 +111,46 @@ std::vector<Result> run_trials(const std::vector<Config>& configs,
   const std::size_t jobs = opts.jobs == 0 ? default_jobs() : opts.jobs;
   if (jobs <= 1 || pending.size() <= 1) {
     // Serial reference path: submission order on the calling thread.
-    // Exceptions propagate directly — same observable behaviour as the
-    // parallel path's stow-and-rethrow below.
+    // The first exception propagates directly — the same one the parallel
+    // path's stow-and-rethrow below surfaces.
     for (std::size_t i : pending) execute(i);
   } else {
-    detail::Latch latch(pending.size());
-    detail::ErrorBox errors;
-    {
-      ThreadPool pool(std::min(jobs, pending.size()));
-      for (std::size_t i : pending) {
-        pool.submit([&execute, &latch, &errors, i] {
-          // The latch counts down on *every* exit path: a trial that
-          // throws must not leave wait() blocked forever (nor let the
-          // exception reach the pool, which treats that as fatal).
-          try {
-            execute(i);
-          } catch (...) {
-            errors.capture();
-          }
-          latch.count_down();
-        });
+    // Fixed grid: the size of `pending` is known before any trial starts
+    // and nothing submits more work, so each worker just claims the next
+    // slot from one cursor.  Slots are claimed from the back because the
+    // figure benches order their grids by ascending size, which starts the
+    // longest trials first.  A throw is stowed in the trial's own slot
+    // (written by one worker; join orders it before the reads below), so
+    // every other trial still runs.
+    std::vector<std::exception_ptr> errors(pending.size());
+    std::atomic<std::size_t> claimed{0};
+    auto work = [&] {
+      for (std::size_t k = claimed.fetch_add(1); k < pending.size();
+           k = claimed.fetch_add(1)) {
+        const std::size_t slot = pending.size() - 1 - k;
+        try {
+          execute(pending[slot]);
+        } catch (...) {
+          errors[slot] = std::current_exception();
+        }
       }
-      latch.wait();
+    };
+    const std::size_t want = std::min(jobs, pending.size());
+    std::vector<std::thread> workers;
+    workers.reserve(want);
+    try {
+      while (workers.size() < want) workers.emplace_back(work);
+    } catch (const std::system_error&) {
+      // The host ran out of threads: the workers already started drain
+      // the grid, or the caller does when none started.
+      if (workers.empty()) work();
     }
-    // Pool joined: every worker is done, results[] is quiescent.  Surface
-    // the first failure on the calling thread, as the serial path would.
-    if (errors.armed()) errors.rethrow();
+    for (std::thread& w : workers) w.join();
+    // Surface the lowest-index failure on the calling thread, as the
+    // serial path would.
+    for (const std::exception_ptr& e : errors) {
+      if (e != nullptr) std::rethrow_exception(e);
+    }
   }
 
   if (stats != nullptr) *stats = local;

@@ -181,5 +181,16 @@ TEST(SharedMode, ChannelDestructionReleasesTheLease) {
   }
 }
 
+TEST(SharedMode, BacklogDrainedPostsCountTowardConnectionBytes) {
+  // 64 one-partition WRs on one QP overflow its 16 WR slots, so most are
+  // posted from the software backlog; every posted byte must still reach
+  // the connection's byte count.
+  ChannelFixture fx(64 * KiB, 64, shared(static_options(/*tp=*/64, /*qps=*/1)));
+  fx.run_round(1);
+  ASSERT_TRUE(buffers_equal(fx.sbuf, fx.rbuf));
+  EXPECT_EQ(fx.send->wrs_posted_total(), 64u);
+  EXPECT_EQ(fx.world->rank(0).connections().total_bytes(), 64 * KiB);
+}
+
 }  // namespace
 }  // namespace partib::test

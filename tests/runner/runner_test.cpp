@@ -1,6 +1,8 @@
-// The parallel experiment runner: thread pool, submission-order result
-// collection (byte-identical output for any job count), fingerprints /
-// derived seeds, and the persistent result cache.
+// The parallel experiment runner: the fixed-grid worker loop, submission-
+// order result collection (byte-identical output for any job count),
+// exception propagation, fingerprints / derived seeds, and the persistent
+// result cache.  The parallel cases also run under TSan (the tsan CI job),
+// where a race on the claim cursor or a result slot shows up as a report.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -9,13 +11,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "runner/fingerprint.hpp"
 #include "runner/result_cache.hpp"
 #include "runner/runner.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace partib::runner {
 namespace {
@@ -61,30 +63,7 @@ TEST(Fingerprint, HexIsFixedWidthLowercase) {
   EXPECT_EQ(to_hex(0xABCDEF0123456789ULL), "abcdef0123456789");
 }
 
-// -- thread pool -------------------------------------------------------------
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threads(), 4u);
-    for (int i = 0; i < 1000; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }  // destructor drains the queues
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, SingleThreadPoolStillDrains) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
-    }
-  }
-  EXPECT_EQ(count.load(), 64);
-}
+// -- run_trials --------------------------------------------------------------
 
 TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {
   ::setenv("PARTIB_JOBS", "3", 1);
@@ -92,8 +71,6 @@ TEST(ThreadPool, DefaultJobsHonoursEnvOverride) {
   ::unsetenv("PARTIB_JOBS");
   EXPECT_GE(default_jobs(), 1u);
 }
-
-// -- run_trials --------------------------------------------------------------
 
 struct TrialConfig {
   int value = 0;
@@ -136,6 +113,33 @@ TEST(RunTrials, ResultsComeBackInSubmissionOrderForAnyJobCount) {
   }
 }
 
+TEST(RunTrials, EveryTrialRunsExactlyOnce) {
+  // Covers an empty grid, a single trial (the serial path), and job
+  // counts both below and above the grid size.
+  for (int n : {0, 1, 2, 7, 100}) {
+    const auto grid = make_grid(n);
+    for (std::size_t jobs : {1u, 2u, 3u, 8u, 64u}) {
+      std::vector<std::atomic<int>> runs(static_cast<std::size_t>(n));
+      auto trial = [&runs](const TrialConfig& c) {
+        runs[static_cast<std::size_t>(c.value)].fetch_add(
+            1, std::memory_order_relaxed);
+        return c.value * 3;
+      };
+      RunOptions opts;
+      opts.jobs = jobs;
+      const auto results =
+          run_trials<TrialConfig, int>(grid, trial, config_fp, {}, opts);
+      ASSERT_EQ(results.size(), grid.size());
+      for (int i = 0; i < n; ++i) {
+        const auto slot = static_cast<std::size_t>(i);
+        EXPECT_EQ(runs[slot].load(), 1)
+            << "n=" << n << " jobs=" << jobs << " trial " << i;
+        EXPECT_EQ(results[slot], i * 3) << "n=" << n << " jobs=" << jobs;
+      }
+    }
+  }
+}
+
 TEST(RunTrials, StatsCountExecutedTrials) {
   const auto grid = make_grid(10);
   RunOptions opts;
@@ -147,6 +151,89 @@ TEST(RunTrials, StatsCountExecutedTrials) {
   EXPECT_EQ(stats.trials, 10u);
   EXPECT_EQ(stats.executed, 10u);
   EXPECT_EQ(stats.cache_hits, 0u);
+}
+
+// -- run_trials exception propagation ---------------------------------------
+
+TEST(RunTrialsExceptions, ThrowingTrialRethrowsOnCallerWithoutDeadlock) {
+  // One trial throwing must not strand the other workers or leave them
+  // un-joined; the exception surfaces on the submitting thread exactly as
+  // the serial path would surface it.
+  std::vector<int> configs(32);
+  for (int i = 0; i < 32; ++i) configs[i] = i;
+  std::atomic<int> executed{0};
+
+  auto trial = [&executed](int c) -> int {
+    if (c == 7) throw std::runtime_error("trial 7 failed");
+    executed.fetch_add(1, std::memory_order_relaxed);
+    return c * 2;
+  };
+  auto fingerprint = [](int c) { return static_cast<std::uint64_t>(c); };
+
+  RunOptions opts;
+  opts.jobs = 4;
+  EXPECT_THROW(
+      (run_trials<int, int>(configs, trial, fingerprint, Codec<int>{}, opts)),
+      std::runtime_error);
+  // Every other trial still ran to completion before the rethrow: a
+  // worker keeps claiming trials after one of its trials throws.
+  EXPECT_EQ(executed.load(), 31);
+}
+
+TEST(RunTrialsExceptions, SerialPathThrowsIdentically) {
+  std::vector<int> configs{1, 2, 3};
+  auto trial = [](int c) -> int {
+    if (c == 2) throw std::invalid_argument("bad config");
+    return c;
+  };
+  auto fingerprint = [](int c) { return static_cast<std::uint64_t>(c); };
+  RunOptions opts;
+  opts.jobs = 1;
+  EXPECT_THROW(
+      (run_trials<int, int>(configs, trial, fingerprint, Codec<int>{}, opts)),
+      std::invalid_argument);
+}
+
+TEST(RunTrialsExceptions, MultipleThrowingTrialsStillJoinCleanly) {
+  // Several workers throwing concurrently exercise the per-trial error
+  // slots and the join together.
+  std::vector<int> configs(64);
+  for (int i = 0; i < 64; ++i) configs[i] = i;
+  auto trial = [](int c) -> int {
+    if (c % 2 == 0) throw std::runtime_error("even configs all fail");
+    return c;
+  };
+  auto fingerprint = [](int c) { return static_cast<std::uint64_t>(c); };
+  RunOptions opts;
+  opts.jobs = 8;
+  EXPECT_THROW(
+      (run_trials<int, int>(configs, trial, fingerprint, Codec<int>{}, opts)),
+      std::runtime_error);
+}
+
+TEST(RunTrialsExceptions, LowestIndexFailureSurfacesForAnyJobCount) {
+  // Workers claim trials from the back of the grid, so trial 40 throws
+  // first whenever it runs first; the surfaced error must still be the
+  // lowest-index one, as on the serial path.
+  std::vector<int> configs(64);
+  for (int i = 0; i < 64; ++i) configs[i] = i;
+  auto trial = [](int c) -> int {
+    if (c == 5) throw std::runtime_error("trial 5 failed");
+    if (c == 40) throw std::runtime_error("trial 40 failed");
+    return c;
+  };
+  auto fingerprint = [](int c) { return static_cast<std::uint64_t>(c); };
+  for (std::size_t jobs : {1u, 2u, 4u, 8u}) {
+    RunOptions opts;
+    opts.jobs = jobs;
+    try {
+      (void)run_trials<int, int>(configs, trial, fingerprint, Codec<int>{},
+                                 opts);
+      ADD_FAILURE() << "jobs=" << jobs << ": no exception surfaced";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trial 5 failed") << "jobs=" << jobs;
+    }
+  }
 }
 
 class RunnerCacheTest : public ::testing::Test {
