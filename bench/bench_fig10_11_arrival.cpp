@@ -18,7 +18,6 @@
 #include "bench/report.hpp"
 #include "bench/trial.hpp"
 #include "common/units.hpp"
-#include "prof/profiler.hpp"
 #include "support/bench_main.hpp"
 
 using namespace partib;
@@ -29,11 +28,6 @@ int main(int argc, char** argv) {
   const std::vector<std::pair<std::size_t, const char*>> points = {
       {8 * MiB, "Fig 10"}, {128 * MiB, "Fig 11"}};
 
-  // One profiler per trial: the grid runner executes the two sizes
-  // concurrently, each recording into its own PartProfiler (a profiling
-  // grid bypasses the result cache — see bench/trial.hpp).
-  std::vector<prof::PartProfiler> profilers(points.size(),
-                                            prof::PartProfiler(kPartitions));
   std::vector<bench::PerceivedConfig> grid;
   for (std::size_t i = 0; i < points.size(); ++i) {
     bench::PerceivedConfig cfg;
@@ -42,7 +36,6 @@ int main(int argc, char** argv) {
     cfg.options = bench::ploggp_options();
     cfg.iterations = 1;
     cfg.warmup = 1;
-    cfg.profiler = &profilers[i];
     grid.push_back(cfg);
   }
   const std::vector<bench::PerceivedResult> results =
@@ -50,20 +43,19 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     const std::size_t bytes = points[i].first;
-    const auto& round = profilers[i].rounds().back();
-    const double wire = results[i].wire_gbytes_per_s;  // bytes per ns
-    const Duration est_comm = prof::PartProfiler::estimated_comm_time(
-        bytes / kPartitions, wire);
+    const bench::PerceivedResult& r = results[i];
+    const double wire = r.wire_gbytes_per_s;  // bytes per ns
+    const Duration est_comm =
+        bench::estimated_comm_time(bytes / kPartitions, wire);
 
     bench::Table table(
         std::string(points[i].second) + ": arrival profile, " +
             format_bytes(bytes) + ", 100 ms compute, 4% noise",
         {"partition", "pready_ms", "arrival_ms", "est_comm_ms"});
     for (std::size_t p = 0; p < kPartitions; ++p) {
-      const Duration pready = round.pready_times[p] - round.start_time;
-      const Duration arrival = round.arrival_times[p] - round.start_time;
-      table.add_row({std::to_string(p), bench::fmt(to_msec(pready), 3),
-                     bench::fmt(to_msec(arrival), 3),
+      table.add_row({std::to_string(p),
+                     bench::fmt(to_msec(r.pready_ns[p]), 3),
+                     bench::fmt(to_msec(r.arrival_ns[p]), 3),
                      bench::fmt(to_msec(est_comm), 3)});
     }
     cli.emit(table);

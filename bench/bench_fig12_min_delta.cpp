@@ -6,7 +6,6 @@
 // per transport partition) are blank, matching the missing points in the
 // paper's figure.  Paper shape: min-delta grows with the partition count;
 // ~35 us at 32 partitions.
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "bench/report.hpp"
 #include "bench/trial.hpp"
 #include "common/units.hpp"
-#include "prof/profiler.hpp"
 #include "support/bench_main.hpp"
 
 using namespace partib;
@@ -32,26 +30,23 @@ int main(int argc, char** argv) {
       "Fig 12: estimated minimum delta (us), 100 ms compute, 4% noise",
       headers);
 
-  // Grid of every (size, count) point where the PLogGP plan aggregates;
-  // deque so profiler addresses stay stable as the grid grows.
-  std::deque<prof::PartProfiler> profilers;
+  // Grid of every (size, count) point where the PLogGP plan aggregates.
   std::vector<bench::PerceivedConfig> grid;
   for (std::size_t bytes : pow2_sizes(1 * MiB, 256 * MiB)) {
     for (std::size_t parts : counts) {
       const agg::Plan plan = planner.plan(parts, bytes);
       if (plan.transport_partitions == parts) continue;
-      profilers.emplace_back(parts);
       bench::PerceivedConfig cfg;
       cfg.total_bytes = bytes;
       cfg.user_partitions = parts;
       cfg.options = bench::ploggp_options();
       cfg.iterations = cli.iterations(5);
       cfg.warmup = 1;
-      cfg.profiler = &profilers.back();
       grid.push_back(cfg);
     }
   }
-  (void)bench::run_perceived_grid(grid, cli.run_options());
+  const std::vector<bench::PerceivedResult> results =
+      bench::run_perceived_grid(grid, cli.run_options());
 
   std::size_t k = 0;
   for (std::size_t bytes : pow2_sizes(1 * MiB, 256 * MiB)) {
@@ -63,7 +58,7 @@ int main(int argc, char** argv) {
         row.push_back("-");
         continue;
       }
-      row.push_back(bench::fmt(to_usec(profilers[k++].mean_min_delta()), 1));
+      row.push_back(bench::fmt(to_usec(results[k++].mean_min_delta), 1));
     }
     table.add_row(std::move(row));
   }

@@ -2,8 +2,8 @@
 // (--csv for machine-readable output, --iters=N to override iteration
 // counts, --jobs=N / --no-cache / --cache-dir= for the parallel
 // experiment runner, --loggp=L,o_s,o_r,g,G / --delta0=NS to swap the
-// machine model and initial timer window) and canned part::Options
-// constructors for each design.
+// machine model and initial timer window), plus the canned part::Options
+// of each design (bench/designs.hpp).
 #pragma once
 
 #include <charconv>
@@ -13,9 +13,8 @@
 #include <memory>
 #include <string>
 
-#include "agg/strategies.hpp"
+#include "bench/designs.hpp"
 #include "bench/report.hpp"
-#include "part/options.hpp"
 #include "runner/runner.hpp"
 
 namespace partib::bench {
@@ -134,56 +133,5 @@ class Cli {
   bool loggp_set_ = false;
   Duration delta0_ = 0;  ///< 0 = use the driver's fallback
 };
-
-inline part::Options options_with(
-    std::shared_ptr<const agg::Aggregator> a) {
-  part::Options o;
-  o.aggregator = std::move(a);
-  return o;
-}
-
-inline part::Options persistent_options() {
-  return options_with(std::make_shared<agg::PersistentBaseline>());
-}
-
-inline part::Options static_options(std::size_t tp, int qps) {
-  return options_with(std::make_shared<agg::StaticAggregator>(tp, qps));
-}
-
-inline part::Options ploggp_options(
-    const model::LogGPParams& params =
-        model::LogGPParams::niagara_mpi_measured()) {
-  return options_with(std::make_shared<agg::PLogGPAggregator>(params));
-}
-
-inline part::Options timer_options(
-    Duration delta, const model::LogGPParams& params =
-                        model::LogGPParams::niagara_mpi_measured()) {
-  return options_with(
-      std::make_shared<agg::TimerPLogGPAggregator>(params, delta));
-}
-
-inline part::Options tuning_table_options() {
-  return options_with(std::make_shared<agg::TuningTableAggregator>(
-      agg::TuningTable::niagara_prebuilt()));
-}
-
-inline part::Options learning_options(
-    const model::LogGPParams& params, Duration delta0 = msec(4),
-    model::ArrivalLearnConfig cfg = {}) {
-  return options_with(std::make_shared<agg::ArrivalLearningAggregator>(
-      params, delta0, cfg));
-}
-
-/// The zoo's oracle arm: a learning channel whose profile the harness
-/// re-seeds with ground truth each epoch, planning greedily on it
-/// (alpha = 1 — trust the seed fully; epsilon = 0 — no hysteresis).
-inline part::Options oracle_options(const model::LogGPParams& params,
-                                    Duration delta0 = msec(4)) {
-  model::ArrivalLearnConfig cfg;
-  cfg.ewma_alpha = 1.0;
-  cfg.hysteresis_epsilon = 0.0;
-  return learning_options(params, delta0, cfg);
-}
 
 }  // namespace partib::bench

@@ -9,12 +9,12 @@
 #include <memory>
 #include <vector>
 
+#include "bench/designs.hpp"
 #include "common/units.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
 #include "sim/noise.hpp"
-#include "support_options.hpp"
 
 using namespace partib;
 
@@ -79,9 +79,9 @@ int main() {
   std::printf("8 MiB over 32 partitions; 100 ms compute; laggard thread "
               "%zu is 4 ms late; wire limit 12.1 GB/s\n\n",
               kLaggard);
-  run_design("persistent (no aggregation)", examples::persistent_options());
-  run_design("PLogGP aggregator", examples::ploggp_options());
-  run_design("Timer-PLogGP (d=35us)", examples::timer_options(usec(35)));
-  run_design("Timer-PLogGP (d=3000us)", examples::timer_options(usec(3000)));
+  run_design("persistent (no aggregation)", bench::persistent_options());
+  run_design("PLogGP aggregator", bench::ploggp_options());
+  run_design("Timer-PLogGP (d=35us)", bench::timer_options(usec(35)));
+  run_design("Timer-PLogGP (d=3000us)", bench::timer_options(usec(3000)));
   return 0;
 }

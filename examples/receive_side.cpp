@@ -9,13 +9,13 @@
 #include <memory>
 #include <vector>
 
+#include "bench/designs.hpp"
 #include "common/units.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
 #include "sim/resources.hpp"
 #include "sim/noise.hpp"
-#include "support_options.hpp"
 
 using namespace partib;
 
@@ -34,7 +34,7 @@ Time run(bool overlap) {
   std::vector<std::byte> sbuf(kBytes), rbuf(kBytes);
   std::unique_ptr<part::PsendRequest> send;
   std::unique_ptr<part::PrecvRequest> recv;
-  const auto opts = examples::persistent_options();
+  const auto opts = bench::persistent_options();
   (void)part::psend_init(world.rank(0), sbuf, kPartitions, 1, 0, 0, opts,
                          &send);
   (void)part::precv_init(world.rank(1), rbuf, kPartitions, 0, 0, 0, opts,

@@ -3,9 +3,9 @@
 // comparing all three designs plus the persistent baseline in one run.
 #include <cstdio>
 
+#include "bench/designs.hpp"
 #include "bench/sweep.hpp"
 #include "common/units.hpp"
-#include "support_options.hpp"
 
 using namespace partib;
 
@@ -15,9 +15,9 @@ int main() {
     part::Options options;
   };
   const DesignRow designs[] = {
-      {"persistent (part_persist/UCX)", examples::persistent_options()},
-      {"PLogGP aggregator", examples::ploggp_options()},
-      {"Timer-based PLogGP (d=35us)", examples::timer_options(usec(35))},
+      {"persistent (part_persist/UCX)", bench::persistent_options()},
+      {"PLogGP aggregator", bench::ploggp_options()},
+      {"Timer-based PLogGP (d=35us)", bench::timer_options(usec(35))},
   };
 
   std::printf("Sweep3D, 8x8 ranks x 16 threads, 1 MiB faces, 1 ms compute, "

@@ -1,7 +1,8 @@
 #include "backend/backend.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <utility>
+#include <iterator>
 
 #include "backend/des_backend.hpp"
 #include "backend/shm/shm_backend.hpp"
@@ -13,53 +14,24 @@
 namespace partib::backend {
 namespace {
 
-struct Entry {
-  std::string name;
-  Factory factory;
-};
-
-// Registration order defines backend_names() order; "des" is first so it
-// is the documented default everywhere the list is shown.
-std::vector<Entry>& registry() {
-  static std::vector<Entry>* entries = [] {
-    auto* e = new std::vector<Entry>();
-    e->push_back({"des", [](const Config& cfg) -> std::unique_ptr<Backend> {
-                    return std::make_unique<DesBackend>(cfg);
-                  }});
-    e->push_back({"shm", [](const Config& cfg) -> std::unique_ptr<Backend> {
-                    return std::make_unique<ShmBackend>(cfg);
-                  }});
-    return e;
-  }();
-  return *entries;
-}
+// "des" first: it is the documented default everywhere the list is shown.
+constexpr std::string_view kNames[] = {"des", "shm"};
 
 std::string joined_names() {
   std::string out;
-  for (const Entry& e : registry()) {
+  for (std::string_view n : kNames) {
     if (!out.empty()) out += ", ";
-    out += e.name;
+    out += n;
   }
   return out;
 }
 
 }  // namespace
 
-void register_backend(std::string_view name, Factory factory) {
-  for (Entry& e : registry()) {
-    if (e.name == name) {
-      e.factory = factory;
-      return;
-    }
-  }
-  registry().push_back({std::string(name), factory});
-}
-
 std::unique_ptr<Backend> make_backend(std::string_view name,
                                       const Config& config) {
-  for (const Entry& e : registry()) {
-    if (e.name == name) return e.factory(config);
-  }
+  if (name == "des") return std::make_unique<DesBackend>(config);
+  if (name == "shm") return std::make_unique<ShmBackend>(config);
   // Through the checker sink, not raw diag_emit: policy-aware (tests
   // count it silently under Policy::kCount) and recorded against the
   // registered rule id.
@@ -70,17 +42,11 @@ std::unique_ptr<Backend> make_backend(std::string_view name,
 }
 
 std::vector<std::string> backend_names() {
-  std::vector<std::string> names;
-  names.reserve(registry().size());
-  for (const Entry& e : registry()) names.push_back(e.name);
-  return names;
+  return {std::begin(kNames), std::end(kNames)};
 }
 
 bool backend_registered(std::string_view name) {
-  for (const Entry& e : registry()) {
-    if (e.name == name) return true;
-  }
-  return false;
+  return std::ranges::find(kNames, name) != std::end(kNames);
 }
 
 std::string default_backend_name() {

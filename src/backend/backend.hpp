@@ -89,22 +89,16 @@ class Backend {
   virtual std::size_t run_until_idle() = 0;
 };
 
-using Factory = std::unique_ptr<Backend> (*)(const Config&);
-
-/// Register a backend under `name`.  Called once per backend from this
-/// library's registration path; re-registering a name replaces the
-/// factory (tests use this to inject instrumented backends).
-void register_backend(std::string_view name, Factory factory);
-
-/// Construct a backend by name.  Unknown names return nullptr after
-/// reporting a structured diagnostic listing what is registered.
+/// Construct a backend by name ("des" or "shm").  Unknown names return
+/// nullptr after reporting a structured diagnostic listing the known
+/// ones.
 std::unique_ptr<Backend> make_backend(std::string_view name,
                                       const Config& config = {});
 
-/// Names in registration order ("des" first).
+/// The known names, "des" first.
 std::vector<std::string> backend_names();
 
-/// True when `name` is registered.
+/// True when `name` is a known backend.
 bool backend_registered(std::string_view name);
 
 /// The session default: $PARTIB_BACKEND when set (and registered — an

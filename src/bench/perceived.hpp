@@ -1,5 +1,4 @@
-// The perceived-bandwidth micro-benchmark (Figs 9, 13; profiling source
-// for Figs 10-12).
+// The perceived-bandwidth micro-benchmark (Figs 9-13).
 //
 // Each sender thread computes and then marks its partition ready; the
 // single-thread-delay model gives one laggard compute * (1 + noise).
@@ -12,14 +11,19 @@
 // incrementing the shared atomic arrival counter and get scheduled apart,
 // which is exactly the spread the paper's Fig 12 measures and sizes delta
 // against.
+//
+// The trial also returns what the paper's §V-A PMPI profiling records:
+// per-partition Pready and arrival times of the last measured round, and
+// Fig 12's minimum-delta estimate averaged over the measured rounds.
 #pragma once
 
 #include <cstddef>
+#include <span>
+#include <vector>
 
 #include "common/time.hpp"
 #include "mpi/world.hpp"
 #include "part/options.hpp"
-#include "prof/profiler.hpp"
 
 namespace partib::bench {
 
@@ -35,8 +39,6 @@ struct PerceivedConfig {
   int warmup = 3;
   std::uint64_t seed = 0x9E1A6A2Au;
   mpi::WorldOptions world;
-  /// Optional: receives per-round pready/arrival timelines.
-  prof::PartProfiler* profiler = nullptr;
 };
 
 struct PerceivedResult {
@@ -48,8 +50,25 @@ struct PerceivedResult {
   /// Mean work requests posted per measured round (delta-dependent for the
   /// timer aggregator: a small delta flushes more, smaller, runs).
   double mean_wrs_per_round = 0.0;
+  /// Mean over the measured rounds of min_delta_estimate(round Preadys).
+  Duration mean_min_delta = 0;
+  /// Per user partition, the last measured round's Pready and arrival
+  /// times, relative to that round's start.
+  std::vector<Duration> pready_ns;
+  std::vector<Duration> arrival_ns;
 };
 
 PerceivedResult run_perceived_bandwidth(PerceivedConfig cfg);
+
+/// Fig 12's estimator: the spread between the first and the last
+/// *non-laggard* Pready in a round (the laggard is the partition with
+/// the latest Pready; negative times count as never ready).  Returns 0
+/// for rounds with fewer than three partitions ready.
+Duration min_delta_estimate(std::span<const Time> pready_times);
+
+/// Per-partition estimated communication time from the bandwidth
+/// equation the paper uses for Figs 10-11:
+///   comm = partition_bytes / bandwidth.
+Duration estimated_comm_time(std::size_t partition_bytes, double bytes_per_ns);
 
 }  // namespace partib::bench

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "runner/fingerprint.hpp"
 
@@ -83,9 +84,6 @@ template <>
 struct Fields<PerceivedConfig> {
   static constexpr const char* kTag = "perceived/v1";
   static constexpr auto run = run_perceived_bandwidth;
-  // c.profiler is intentionally not hashed: it is an observer, not an
-  // input; profiler-carrying grids bypass the cache instead (see
-  // run_perceived_grid).
   static void of(auto& c, auto&& f) {
     f(c.total_bytes, c.user_partitions, c.compute, c.noise,
       c.jitter_per_thread, c.iterations, c.warmup, c.seed, c.options,
@@ -147,7 +145,8 @@ template <>
 struct Fields<PerceivedResult> {
   static void of(auto& r, auto&& f) {
     f(r.mean_gbytes_per_s, r.min_gbytes_per_s, r.max_gbytes_per_s,
-      r.wire_gbytes_per_s, r.mean_wrs_per_round);
+      r.wire_gbytes_per_s, r.mean_wrs_per_round, r.mean_min_delta,
+      r.pready_ns, r.arrival_ns);
   }
 };
 
@@ -226,7 +225,8 @@ std::uint64_t fingerprint_of(const Config& cfg) {
 
 /// Type-driven payload encoder: space-separated fields, integers in
 /// decimal, doubles in %a hexfloat (round-trips bit-exactly through
-/// strtod), arrays element by element.
+/// strtod), arrays element by element, vectors as their size followed by
+/// their elements.
 struct Encoder {
   std::string out;
 
@@ -251,6 +251,11 @@ struct Encoder {
   template <typename T, std::size_t N>
   void field(const T (&a)[N]) {
     for (const T& x : a) field(x);
+  }
+  template <typename T>
+  void field(const std::vector<T>& v) {
+    field(v.size());
+    for (const T& x : v) field(x);
   }
 };
 
@@ -293,6 +298,21 @@ struct FieldReader {
   template <typename T, std::size_t N>
   void field(T (&a)[N]) {
     for (T& x : a) field(x);
+  }
+  template <typename T>
+  void field(std::vector<T>& v) {
+    std::size_t n = 0;
+    field(n);
+    // Every element takes at least a separator and a digit, so a count
+    // the rest of the payload cannot hold is corrupt: reject it before
+    // allocating for it.
+    if (!ok || n > static_cast<std::size_t>(end - p) / 2) {
+      ok = false;
+      v.clear();
+      return;
+    }
+    v.resize(n);
+    for (T& x : v) field(x);
   }
 };
 
@@ -384,14 +404,7 @@ std::vector<OverheadResult> run_overhead_grid(
 std::vector<PerceivedResult> run_perceived_grid(
     const std::vector<PerceivedConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats) {
-  runner::RunOptions o = opts;
-  for (const PerceivedConfig& c : grid) {
-    if (c.profiler != nullptr) {
-      o.cache = nullptr;  // profiler side effects cannot replay from cache
-      break;
-    }
-  }
-  return grid_of(grid, o, stats);
+  return grid_of(grid, opts, stats);
 }
 
 std::vector<SweepResult> run_sweep_grid(const std::vector<SweepConfig>& grid,

@@ -8,7 +8,8 @@
 //     bump the tag whenever the trial semantics change so stale cache
 //     entries self-invalidate),
 //   * a `Codec` — exact textual round-trip of the result struct for the
-//     persistent cache (integers in decimal, doubles in hexfloat),
+//     persistent cache (integers in decimal, doubles in hexfloat, vectors
+//     as their size and then their elements),
 //   * a grid runner `run_*_grid()` — submit a vector of configs through
 //     runner::run_trials and get results back in submission order.
 //
@@ -66,8 +67,7 @@ ZooResult zoo_trial(const ZooConfig& cfg);
 
 /// Grid runners: results come back in submission order, so a driver that
 /// formats them sequentially emits byte-identical output for any job
-/// count.  Perceived grids that carry a profiler pointer bypass the cache
-/// (profiler side effects cannot be replayed from a cached result).
+/// count.
 std::vector<OverheadResult> run_overhead_grid(
     const std::vector<OverheadConfig>& grid, const runner::RunOptions& opts,
     runner::RunStats* stats = nullptr);

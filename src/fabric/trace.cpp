@@ -1,6 +1,5 @@
 #include "fabric/trace.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/assert.hpp"
@@ -25,14 +24,6 @@ TraceRecord& TraceSink::at(std::uint64_t op_id) {
   return records_[op_id];
 }
 
-std::vector<const TraceRecord*> TraceSink::by_qp(std::uint64_t src_qp) const {
-  std::vector<const TraceRecord*> out;
-  for (const TraceRecord& r : records_) {
-    if (r.src_qp == src_qp) out.push_back(&r);
-  }
-  return out;
-}
-
 std::string TraceSink::to_csv() const {
   std::ostringstream out;
   out << "op,src,dst,qp,bytes,posted,wqe,wire_start,wire_end,landed,"
@@ -44,18 +35,6 @@ std::string TraceSink::to_csv() const {
         << r.recv_cqe << ',' << r.send_cqe << '\n';
   }
   return out.str();
-}
-
-double TraceSink::egress_utilisation(NodeId src, Time from, Time to) const {
-  PARTIB_ASSERT(to > from);
-  Duration busy = 0;
-  for (const TraceRecord& r : records_) {
-    if (r.src != src || r.wire_start < 0 || r.wire_end < 0) continue;
-    const Time lo = std::max(r.wire_start, from);
-    const Time hi = std::min(r.wire_end, to);
-    if (hi > lo) busy += hi - lo;
-  }
-  return static_cast<double>(busy) / static_cast<double>(to - from);
 }
 
 }  // namespace partib::fabric

@@ -50,16 +50,9 @@ class TraceSink {
   std::size_t size() const { return records_.size(); }
   void clear() { records_.clear(); }
 
-  /// All records that used `src_qp` (insertion order).
-  std::vector<const TraceRecord*> by_qp(std::uint64_t src_qp) const;
-
   /// CSV: op,src,dst,qp,bytes,posted,wqe,wire_start,wire_end,landed,
   ///      recv_cqe,send_cqe
   std::string to_csv() const;
-
-  /// Aggregate wire utilisation of a node's egress over [from, to):
-  /// total wire time of ops it sourced divided by the window.
-  double egress_utilisation(NodeId src, Time from, Time to) const;
 
  private:
   std::vector<TraceRecord> records_;

@@ -28,7 +28,8 @@ namespace partib::part {
 class PrecvRequest {
  public:
   using Completion = std::function<void()>;
-  /// Observer invoked on every partition arrival (profiler hook):
+  /// Observer invoked on every partition arrival (the perceived-bandwidth
+  /// trial's arrival timeline, the sharded runtime's arrival mirror):
   /// (partition index, arrival virtual time).
   using ArrivalHook = std::function<void(std::size_t, Time)>;
 

@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/overhead.hpp"
@@ -126,23 +127,47 @@ TEST(Perceived, TimerRecoversTowardPersistent) {
   EXPECT_GT(timer, plain * 2);
 }
 
-TEST(Perceived, ProfilerReceivesTimelines) {
-  prof::PartProfiler profiler(16);
+TEST(Perceived, ResultCarriesLastRoundTimeline) {
   PerceivedConfig cfg;
   cfg.total_bytes = 1 * MiB;
   cfg.user_partitions = 16;
   cfg.options = ploggp();
   cfg.iterations = 2;
   cfg.warmup = 1;
-  cfg.profiler = &profiler;
-  (void)run_perceived_bandwidth(cfg);
-  ASSERT_EQ(profiler.rounds().size(), 2u);
-  for (const auto& round : profiler.rounds()) {
-    for (std::size_t i = 0; i < 16; ++i) {
-      EXPECT_GE(round.pready_times[i], round.start_time);
-      EXPECT_GE(round.arrival_times[i], round.pready_times[i]);
-    }
+  const PerceivedResult r = run_perceived_bandwidth(cfg);
+  ASSERT_EQ(r.pready_ns.size(), 16u);
+  ASSERT_EQ(r.arrival_ns.size(), 16u);
+  for (std::size_t i = 0; i < 16; ++i) {
+    EXPECT_GE(r.pready_ns[i], 0);
+    EXPECT_GE(r.arrival_ns[i], r.pready_ns[i]);
   }
+
+  cfg.iterations = 1;
+  const PerceivedResult one = run_perceived_bandwidth(cfg);
+  EXPECT_EQ(one.mean_min_delta, min_delta_estimate(one.pready_ns));
+}
+
+// Fig 12's estimator and Figs 10-11's bandwidth equation.
+TEST(Profiler, MinDeltaExcludesLaggard) {
+  const std::vector<Time> pready = {100, 130, 110, 5000};  // 3: laggard
+  // Non-laggard spread: 130 - 100 = 30.
+  EXPECT_EQ(min_delta_estimate(pready), 30);
+}
+
+TEST(Profiler, MinDeltaLaggardDetectedAnywhere) {
+  const std::vector<Time> pready = {9000, 100, 160, 120};  // 0: laggard
+  EXPECT_EQ(min_delta_estimate(pready), 60);
+}
+
+TEST(Profiler, MinDeltaNeedsThreePreadys) {
+  const std::vector<Time> pready = {100, 500, -1, -1};  // -1: never ready
+  EXPECT_EQ(min_delta_estimate(pready), 0);
+}
+
+TEST(Profiler, EstimatedCommTimeIsBandwidthEquation) {
+  // comm = bytes / bandwidth; 1 MiB at 12.1 B/ns.
+  const Duration t = estimated_comm_time(MiB, 12.1);
+  EXPECT_EQ(t, static_cast<Duration>(static_cast<double>(MiB) / 12.1));
 }
 
 TEST(Sweep, SmallGridCompletes) {
@@ -387,14 +412,20 @@ TEST(TrialFingerprint, DistinguishesFaultAndConnectionSettings) {
 // pins the encoding of one non-default result (negative Durations, a
 // uint64 above INT64_MAX, non-round doubles) and checks the decode side:
 // bit-identical round trip, truncated payloads rejected, trailing text
-// after the last field accepted.
+// after the last field accepted.  A result that holds vectors cannot be
+// compared bytewise; its decode is checked by re-encoding it, which is
+// exact because the encoding is.
 template <typename Result>
 void expect_payload_pinned(const runner::Codec<Result>& codec,
                            const Result& r, const std::string& payload) {
   EXPECT_EQ(codec.encode(r), payload);
   Result back{};
   ASSERT_TRUE(codec.decode(payload, &back)) << payload;
-  EXPECT_EQ(std::memcmp(&back, &r, sizeof(Result)), 0) << payload;
+  if constexpr (std::is_trivially_copyable_v<Result>) {
+    EXPECT_EQ(std::memcmp(&back, &r, sizeof(Result)), 0) << payload;
+  } else {
+    EXPECT_EQ(codec.encode(back), payload);
+  }
   Result scratch{};
   EXPECT_TRUE(codec.decode(payload + " 7", &scratch)) << payload;
   EXPECT_FALSE(codec.decode(payload.substr(0, payload.rfind(' ')), &scratch))
@@ -418,9 +449,13 @@ TEST(TrialCodec, PayloadsPinned) {
   perceived.max_gbytes_per_s = -0.1;
   perceived.wire_gbytes_per_s = 6.02e23;
   perceived.mean_wrs_per_round = 1e-300;
+  perceived.mean_min_delta = -35'000;
+  perceived.pready_ns = {0, -1, 100'000'000'123};
+  perceived.arrival_ns = {7};
   expect_payload_pinned(perceived_codec(), perceived,
       "0x1.8b0fcd32f707ap+3 0x1.5555555555555p-2 -0x1.999999999999ap-4 "
-      "0x1.fde9f10a8d361p+78 0x1.56e1fc2f8f359p-997");
+      "0x1.fde9f10a8d361p+78 0x1.56e1fc2f8f359p-997 "
+      "-35000 3 0 -1 100000000123 1 7");
 
   SweepResult sweep{};
   sweep.total_time = -5;
@@ -460,6 +495,38 @@ TEST(TrialCodec, PayloadsPinned) {
       "0x1.78p+3 0x1.2492492492492p-3 0x1.999999999999ap-4 "
       "0x1.0c6f7a0b5ed8dp-22 0x1.921f9f01b866ep+1 -24 0x1.14ccccccccccdp+4 "
       "0x1.0aa9fbe76c8b4p+5 9223372036854775807");
+}
+
+TEST(TrialCodec, VectorFieldsRoundTrip) {
+  const runner::Codec<PerceivedResult> codec = perceived_codec();
+  PerceivedResult r{};
+  for (std::size_t i = 0; i < 32; ++i) {
+    r.pready_ns.push_back(static_cast<Duration>(i * i) - 5);
+    r.arrival_ns.push_back(static_cast<Duration>(i) * 1'000'000'007);
+  }
+  PerceivedResult back{};
+  ASSERT_TRUE(codec.decode(codec.encode(r), &back));
+  EXPECT_EQ(back.pready_ns, r.pready_ns);
+  EXPECT_EQ(back.arrival_ns, r.arrival_ns);
+
+  // Empty vectors round-trip too, and replace what the target held.
+  ASSERT_TRUE(codec.decode(codec.encode(PerceivedResult{}), &back));
+  EXPECT_TRUE(back.pready_ns.empty());
+  EXPECT_TRUE(back.arrival_ns.empty());
+}
+
+TEST(TrialCodec, OversizedVectorCountFailsDecode) {
+  // A cache file is outside input: a count the rest of the payload cannot
+  // hold fails the decode (the trial is then recomputed) instead of
+  // sizing an allocation from it.
+  const runner::Codec<PerceivedResult> codec = perceived_codec();
+  const std::string prefix = "0x1p+0 0x1p+0 0x1p+0 0x1p+0 0x1p+0 0 ";
+  PerceivedResult back{};
+  ASSERT_TRUE(codec.decode(prefix + "2 1 2 0", &back));
+  EXPECT_FALSE(codec.decode(prefix + "4 1 2 0", &back));
+  EXPECT_FALSE(codec.decode(prefix + "18446744073709551615 1 2 0", &back));
+  EXPECT_FALSE(codec.decode(prefix + "-1 1 2 0", &back));
+  EXPECT_FALSE(codec.decode(prefix + "2 1 2 1000000", &back));
 }
 
 }  // namespace

@@ -16,6 +16,9 @@
 namespace partib::test {
 namespace {
 
+const model::LogGPParams kNiagara =
+    model::LogGPParams::niagara_mpi_measured();
+
 // Drive one round with per-partition pready offsets `truth` (ns from the
 // round's first pready).
 void run_round_with_arrivals(ChannelFixture& fx, int round,
@@ -59,7 +62,7 @@ std::vector<Duration> ramp_truth(std::size_t n, Duration spread) {
 }
 
 TEST(Learning, WarmProfileReplansToTheArrivalPattern) {
-  ChannelFixture fx(64 * MiB, 64, learning_options());
+  ChannelFixture fx(64 * MiB, 64, learning_options(kNiagara));
   fx.engine.run();
   ASSERT_TRUE(fx.send->plan().learning);
   EXPECT_EQ(fx.send->profile_epochs(), 0u);
@@ -86,7 +89,7 @@ TEST(Learning, WarmProfileReplansToTheArrivalPattern) {
 }
 
 TEST(Learning, StationaryWorkloadDoesNotFlap) {
-  ChannelFixture fx(64 * MiB, 64, learning_options());
+  ChannelFixture fx(64 * MiB, 64, learning_options(kNiagara));
   fx.engine.run();
   const auto truth = bursty_truth(64, msec(6));
   for (int round = 1; round <= 6; ++round) {
@@ -112,7 +115,7 @@ TEST(Learning, StationaryWorkloadDoesNotFlap) {
 }
 
 TEST(Learning, ByteExactWhileTheLayoutShiftsUnderneath) {
-  ChannelFixture fx(16 * MiB, 32, learning_options());
+  ChannelFixture fx(16 * MiB, 32, learning_options(kNiagara));
   fx.engine.run();
   // Regime churn: every few rounds the pattern changes, so replans keep
   // re-shaping the layout mid-stream.  Delivery must stay exact and
@@ -130,7 +133,7 @@ TEST(Learning, ByteExactWhileTheLayoutShiftsUnderneath) {
 }
 
 TEST(Learning, GroupBudgetAndCoverHoldAcrossReplans) {
-  part::Options opts = learning_options();
+  part::Options opts = learning_options(kNiagara);
   const auto& learn =
       static_cast<const agg::ArrivalLearningAggregator&>(*opts.aggregator)
           .config();
@@ -158,7 +161,7 @@ TEST(Learning, GroupBudgetAndCoverHoldAcrossReplans) {
 }
 
 TEST(Learning, OracleSeedReplansOnTheNextStart) {
-  ChannelFixture fx(64 * MiB, 64, learning_options());
+  ChannelFixture fx(64 * MiB, 64, learning_options(kNiagara));
   fx.engine.run();
   const auto truth = bursty_truth(64, msec(6));
   // Seed the ground truth before the first data round: the very next
@@ -175,7 +178,7 @@ TEST(Learning, OracleSeedReplansOnTheNextStart) {
 }
 
 TEST(Learning, SeedProfileRejectsBadCalls) {
-  ChannelFixture learning_fx(1 * MiB, 16, learning_options());
+  ChannelFixture learning_fx(1 * MiB, 16, learning_options(kNiagara));
   learning_fx.engine.run();
   const std::vector<Duration> wrong_size(8, usec(1));
   EXPECT_EQ(learning_fx.send->seed_profile(wrong_size),
@@ -190,7 +193,7 @@ TEST(Learning, SeedProfileRejectsBadCalls) {
 
 TEST(Learning, ScenarioReplaysBitIdentically) {
   const auto run_scenario = [] {
-    ChannelFixture fx(16 * MiB, 64, learning_options());
+    ChannelFixture fx(16 * MiB, 64, learning_options(kNiagara));
     check::DeterminismAuditor auditor;
     auditor.attach(fx.engine);
     fx.engine.run();

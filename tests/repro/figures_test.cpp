@@ -157,16 +157,13 @@ TEST(Fig9, LargeMessagesConvergeTowardWire) {
 
 TEST(Fig12, MinDeltaGrowsWithPartitionCount) {
   auto min_delta = [](std::size_t parts) {
-    prof::PartProfiler profiler(parts);
     bench::PerceivedConfig cfg;
     cfg.total_bytes = 32 * MiB;
     cfg.user_partitions = parts;
     cfg.options = ploggp_options();
     cfg.iterations = 3;
     cfg.warmup = 1;
-    cfg.profiler = &profiler;
-    (void)bench::run_perceived_bandwidth(cfg);
-    return profiler.mean_min_delta();
+    return bench::run_perceived_bandwidth(cfg).mean_min_delta;
   };
   const Duration d8 = min_delta(8);
   const Duration d32 = min_delta(32);

@@ -66,7 +66,8 @@ struct PlanSnapshot {
 PlanSnapshot run_with_producers(int producers) {
   model::ArrivalLearnConfig cfg;
   cfg.quantum = msec(1);
-  part::Options opts = test::learning_options(msec(4), cfg);
+  part::Options opts = test::learning_options(
+      model::LogGPParams::niagara_mpi_measured(), msec(4), cfg);
 
   sim::Engine engine;
   mpi::World world(engine, mpi::WorldOptions{});

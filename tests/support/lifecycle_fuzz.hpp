@@ -131,7 +131,8 @@ inline part::Options perturbed_learning_options(sim::Rng& rng) {
   cfg.hysteresis_epsilon = rng.uniform(0.0, 0.1);
   cfg.quantum = usec(rng.uniform_int(8, 128));
   part::Options o =
-      learning_options(usec(rng.uniform_int(50, 4000)), cfg);
+      learning_options(model::LogGPParams::niagara_mpi_measured(),
+                       usec(rng.uniform_int(50, 4000)), cfg);
   o.max_send_retries = static_cast<int>(rng.uniform_int(2, 8));
   o.retry_backoff = usec(rng.uniform_int(1, 16));
   return o;

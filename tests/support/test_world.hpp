@@ -7,8 +7,8 @@
 #include <numeric>
 #include <vector>
 
-#include "agg/strategies.hpp"
 #include "backend/backend.hpp"
+#include "bench/designs.hpp"
 #include "mpi/world.hpp"
 #include "part/partitioned.hpp"
 #include "sim/engine.hpp"
@@ -92,39 +92,13 @@ struct ChannelFixture {
   }
 };
 
-inline part::Options options_with(std::shared_ptr<const agg::Aggregator> a) {
-  part::Options o;
-  o.aggregator = std::move(a);
-  return o;
-}
-
-inline part::Options ploggp_options() {
-  return options_with(std::make_shared<agg::PLogGPAggregator>(
-      model::LogGPParams::niagara_mpi_measured()));
-}
-
-inline part::Options persistent_options() {
-  return options_with(std::make_shared<agg::PersistentBaseline>());
-}
-
-inline part::Options static_options(std::size_t tp, int qps) {
-  return options_with(std::make_shared<agg::StaticAggregator>(tp, qps));
-}
-
-inline part::Options tuning_table_options() {
-  return options_with(std::make_shared<agg::TuningTableAggregator>(
-      agg::TuningTable::niagara_prebuilt()));
-}
-
-inline part::Options timer_options(Duration delta) {
-  return options_with(std::make_shared<agg::TimerPLogGPAggregator>(
-      model::LogGPParams::niagara_mpi_measured(), delta));
-}
-
-inline part::Options learning_options(Duration delta0 = msec(4),
-                                      model::ArrivalLearnConfig cfg = {}) {
-  return options_with(std::make_shared<agg::ArrivalLearningAggregator>(
-      model::LogGPParams::niagara_mpi_measured(), delta0, cfg));
-}
+// The canned channel designs, as the figure benches build them.
+using bench::learning_options;
+using bench::options_with;
+using bench::persistent_options;
+using bench::ploggp_options;
+using bench::static_options;
+using bench::timer_options;
+using bench::tuning_table_options;
 
 }  // namespace partib::test
